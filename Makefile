@@ -3,7 +3,7 @@
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
 	bench-regression figures figures-parallel report examples lint \
 	lint-baseline typecheck check clean clean-cache telemetry-smoke \
-	chaos-smoke scenario-smoke trace-smoke
+	chaos-smoke scenario-smoke trace-smoke perfbench-check
 
 # PYTHONPATH=src keeps every target usable from a bare checkout
 # (no editable install required), matching the tier-1 test invocation.
@@ -33,6 +33,27 @@ bench-regression:
 	$(PY) -m pytest -q -p no:cacheprovider \
 		benchmarks/test_simulator_throughput.py::test_benchmark_covers_every_scheme \
 		benchmarks/test_simulator_throughput.py::test_throughput_regression
+
+# Local mirror of the CI perfbench job: a short end-to-end benchmark
+# run of every workload.  perfbench/run.py exits 0 even when cells
+# fail, so the gate reads the last line of its output, which must be
+# JSON with "correct": true and "failed": 0.
+PERFBENCH_WORKLOADS := qos32 pf-opt-n32 assoc-jobs2
+PERFBENCH_GATE := import json, sys; \
+	r = json.loads(sys.stdin.read().splitlines()[-1]); \
+	ok = r["correct"] is True and r["failed"] == 0; \
+	sys.exit(0 if ok else "perfbench gate failed: correct=%s, failed=%s" \
+		% (r["correct"], r["failed"]))
+
+perfbench-check:
+	mkdir -p .perfbench
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 0 --seconds 3 \
+			--trace 0 > .perfbench/check-$$w.out; \
+		cat .perfbench/check-$$w.out; \
+		python3 -c '$(PERFBENCH_GATE)' < .perfbench/check-$$w.out \
+			|| exit 1; \
+	done
 
 bench-smoke:
 	REPRO_BENCH_SCALE=smoke pytest benchmarks/ --benchmark-only

@@ -6,6 +6,7 @@
 * a run header (experiment, package version, cell counts, wall time);
 * the top-N slowest cells with attempt/retry/fault annotations;
 * a fault & retry summary grouped by error type;
+* trace synthesis totals: traces built versus reused within the sweep;
 * per-partition sparklines of the recorded time series — occupancy
   against target, and the alpha_i convergence that Figs. 3/5 of the
   paper argue from — rendered via
@@ -118,6 +119,25 @@ def _faults_section(spans: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
+def _synthesis(spans: List[Dict[str, Any]]) -> Dict[str, int]:
+    """Totals of the cells' trace synthesis counts (``wall`` facts)."""
+    counted = [s["wall"] for s in spans
+               if s.get("wall", {}).get("traces_synthesized") is not None]
+    return {"cells": len(counted),
+            "synthesized": sum(w["traces_synthesized"] for w in counted),
+            "reused": sum(w["traces_reused"] for w in counted)}
+
+
+def _synthesis_section(spans: List[Dict[str, Any]]) -> List[str]:
+    totals = _synthesis(spans)
+    if not totals["cells"]:
+        return ["== trace synthesis ==", "(no executed cells counted)"]
+    return ["== trace synthesis ==",
+            f"synthesized={totals['synthesized']}  "
+            f"reused={totals['reused']}  over {totals['cells']} "
+            f"executed cell(s)"]
+
+
 def _series_section(path: Path, width: int) -> List[str]:
     rows = _load_jsonl(path)
     lines = [f"-- {path.name} --"]
@@ -194,6 +214,7 @@ def report_data(run_dir: Union[str, Path], *,
                                 if s.get("status") == "failed"),
             "by_error": {k: by_error[k] for k in sorted(by_error)},
         },
+        "synthesis": _synthesis(spans),
         "series": series_files,
         "traces": trace_files,
     }
@@ -218,6 +239,7 @@ def render_report(run_dir: Union[str, Path], *, top_n: int = 10,
     if spans:
         sections.append(_slowest_section(spans, top_n))
         sections.append(_faults_section(spans))
+        sections.append(_synthesis_section(spans))
 
     series_files = sorted((root / "series").glob("*.jsonl")) \
         if (root / "series").is_dir() else []

@@ -30,6 +30,11 @@ Environment variables:
 ``REPRO_TELEMETRY_PROFILE``
     When ``"1"``, each cell execution is additionally captured under
     ``cProfile`` into ``profile/<cell-label>.prof``.
+
+Each executed cell also leaves ``reuse/<cell-key>.json``: how many
+traces its process synthesized for it and how many it reused from
+earlier cells of the sweep (:func:`record_reuse`).  The session folds
+these into the cells' spans, under ``"wall"``, and removes them.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ __all__ = [
     "TELEMETRY_ENV",
     "TELEMETRY_INTERVAL_ENV",
     "TELEMETRY_PROFILE_ENV",
+    "REUSE_DIR",
     "maybe_profile",
+    "record_reuse",
     "record_series",
     "series_config",
     "set_cell",
@@ -63,6 +70,10 @@ TELEMETRY_INTERVAL_ENV = "REPRO_TELEMETRY_INTERVAL"
 TELEMETRY_PROFILE_ENV = "REPRO_TELEMETRY_PROFILE"
 
 DEFAULT_INTERVAL = 1024
+
+#: Telemetry subdirectory carrying per-cell trace reuse counts from the
+#: executing process to the session (transient: removed at finish).
+REUSE_DIR = "reuse"
 
 #: Label of the cell this process is currently executing ("" outside
 #: cell execution, e.g. telemetry-enabled API calls without the runner).
@@ -135,6 +146,21 @@ def record_series(cache) -> Iterator[Optional["TimeSeriesRecorder"]]:
         _cell_seq = seq + 1
         name = f"{_slug(_cell_label)}-{seq:03d}.jsonl"
         recorder.write_jsonl(root / "series" / name)
+
+
+def record_reuse(key: str, synthesized: int, reused: int) -> None:
+    """Leave one cell's trace synthesis counts for the session.
+
+    Writes ``reuse/<key>.json`` under the telemetry directory (a retried
+    cell overwrites it).  No-op unless ``REPRO_TELEMETRY`` is set.
+    """
+    config = series_config()
+    if config is None:
+        return
+    out = config[0] / REUSE_DIR / f"{key}.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps({"synthesized": synthesized,
+                               "reused": reused}), encoding="utf-8")
 
 
 def write_lifecycle(cache) -> Optional[Path]:

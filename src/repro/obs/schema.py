@@ -39,7 +39,7 @@ __all__ = [
 #: build with a clear error instead of a KeyError three fields in.
 SCHEMA_VERSIONS = {
     "metrics": 1,
-    "spans": 1,
+    "spans": 2,
     "series": 1,
     "lifecycle": 1,
     "trace": 1,
@@ -221,12 +221,19 @@ def validate_lifecycle_row(row: Any, where: str = "lifecycle") -> List[str]:
 
 _SPAN_KEYS = ("index", "cell", "experiment", "key", "status", "attempts",
               "retries", "losses", "cache_hit", "errors", "wall")
-_WALL_KEYS = ("queued_s", "started_s", "finished_s", "duration_s")
+_WALL_KEYS = ("queued_s", "started_s", "finished_s", "duration_s",
+              "traces_synthesized", "traces_reused")
+_WALL_SECONDS = ("queued_s", "started_s", "finished_s", "duration_s")
 _SPAN_STATUSES = ("ok", "cached", "failed", "pending")
 
 
 def validate_span_row(row: Any, where: str = "spans") -> List[str]:
-    """Problems with one ``spans.jsonl`` row (empty list = valid)."""
+    """Problems with one ``spans.jsonl`` row (empty list = valid).
+
+    Schema version 2 added ``wall.traces_synthesized`` and
+    ``wall.traces_reused``: the traces the executing process built for
+    the cell and those it reused, ``null`` for cells it did not run.
+    """
     if not isinstance(row, dict):
         return [f"{where}: row must be an object, got {type(row).__name__}"]
     problems = _check_keys(row, _SPAN_KEYS, where)
@@ -253,11 +260,16 @@ def validate_span_row(row: Any, where: str = "spans") -> List[str]:
         problems.append(f"{where}: 'wall' must be an object")
     else:
         problems.extend(_check_keys(wall, _WALL_KEYS, f"{where}.wall"))
-        for key in _WALL_KEYS:
+        for key in _WALL_SECONDS:
             value = wall.get(key)
             if value is not None and not _is_num(value):
                 problems.append(
                     f"{where}.wall: {key!r} must be a number or null")
+        for key in ("traces_synthesized", "traces_reused"):
+            value = wall.get(key)
+            if value is not None and not (_is_int(value) and value >= 0):
+                problems.append(
+                    f"{where}.wall: {key!r} must be an int >= 0 or null")
     return problems
 
 

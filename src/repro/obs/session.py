@@ -16,6 +16,9 @@ experiment run::
                           coordinator.jsonl plus one file per worker
                           process; see repro.obs.trace
         profile/*.prof    optional cProfile captures (wall-clock)
+        reuse/*.json      per-cell trace reuse counts in transit from
+                          the executing processes; folded into
+                          spans.jsonl and removed at finish
 
 Used as a context manager around the runner call::
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -45,6 +49,7 @@ from ..errors import ConfigurationError
 from .metrics import MetricsRegistry
 from .runtime import (
     DEFAULT_INTERVAL,
+    REUSE_DIR,
     TELEMETRY_ENV,
     TELEMETRY_INTERVAL_ENV,
     TELEMETRY_PROFILE_ENV,
@@ -94,6 +99,8 @@ class TelemetrySession:
             raise ConfigurationError("telemetry session is already active")
         self.dir.mkdir(parents=True, exist_ok=True)
         (self.dir / "series").mkdir(exist_ok=True)
+        # Left behind only by a run that died before finish().
+        shutil.rmtree(self.dir / REUSE_DIR, ignore_errors=True)
         env = {
             TELEMETRY_ENV: str(self.dir),
             TELEMETRY_INTERVAL_ENV: str(self.interval),
@@ -153,6 +160,20 @@ class TelemetrySession:
             return []
         return sorted(p.name for p in traces_dir.glob("*.jsonl"))
 
+    def _take_reuse(self) -> Dict[str, Tuple[int, int]]:
+        """Read and remove the per-cell ``reuse/`` counts."""
+        counts: Dict[str, Tuple[int, int]] = {}
+        reuse_dir = self.dir / REUSE_DIR
+        for path in sorted(reuse_dir.glob("*.json")):
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                counts[path.stem] = (int(doc["synthesized"]),
+                                     int(doc["reused"]))
+            except (ValueError, KeyError, TypeError):
+                continue  # written by a worker killed mid-write
+        shutil.rmtree(reuse_dir, ignore_errors=True)
+        return counts
+
     def manifest(self) -> Dict[str, Any]:
         """The run manifest; wall-clock facts live under ``"wall"``.
 
@@ -199,6 +220,7 @@ class TelemetrySession:
             self._saved_env = {}
             self._active = False
         self.metrics.export_jsonl(self.dir / "metrics.jsonl")
+        self.telemetry.attach_reuse(self._take_reuse())
         self.telemetry.write_jsonl(self.dir / "spans.jsonl")
         if self.trace:
             self.telemetry.write_trace()

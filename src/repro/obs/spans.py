@@ -46,7 +46,8 @@ class CellSpan:
 
     __slots__ = ("index", "cell", "experiment", "key", "status", "attempts",
                  "retries", "losses", "cache_hit", "errors",
-                 "queued_s", "started_s", "finished_s", "duration_s")
+                 "queued_s", "started_s", "finished_s", "duration_s",
+                 "synthesized", "reused")
 
     def __init__(self, index: int, label: str, experiment: str,
                  key: str) -> None:
@@ -65,6 +66,11 @@ class CellSpan:
         self.started_s: Optional[float] = None
         self.finished_s: Optional[float] = None
         self.duration_s: Optional[float] = None
+        #: Traces the executing process built for this cell, and those
+        #: it reused from earlier cells of the sweep.  Which process ran
+        #: which cell first decides them, so they are wall facts.
+        self.synthesized: Optional[int] = None
+        self.reused: Optional[int] = None
 
     def to_json(self) -> Dict[str, Any]:
         """Span row with every wall-clock field under ``"wall"``."""
@@ -84,6 +90,8 @@ class CellSpan:
                 "started_s": self.started_s,
                 "finished_s": self.finished_s,
                 "duration_s": self.duration_s,
+                "traces_synthesized": self.synthesized,
+                "traces_reused": self.reused,
             },
         }
 
@@ -214,6 +222,12 @@ class RunTelemetry:
             "runner.cell.attempts", ("experiment",),
             buckets=_ATTEMPT_BUCKETS).observe(
                 span.attempts, experiment=span.experiment)
+
+    def attach_reuse(self, counts: Dict[str, Tuple[int, int]]) -> None:
+        """Attach ``{cell key: (synthesized, reused)}`` to the spans."""
+        for span in self.spans:
+            if span.key in counts:
+                span.synthesized, span.reused = counts[span.key]
 
     def store_stats(self, stats: "StoreStats") -> None:
         """Mirror the experiment store's end-of-sweep statistics.

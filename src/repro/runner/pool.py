@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError, WorkerError
 from ..store import ExperimentStore
+from ..trace.spec import reuse_counts, trace_reuse
 from .cache import cell_key
 from .cells import Cell
 from .config import RunConfig, coerce_run_config
@@ -111,13 +112,19 @@ def _run_attempt(index: int, key: str, cell: Cell,
         # Telemetry is on (workers learn via the inherited environment):
         # name the cell so series files land at deterministic paths, and
         # optionally capture a cProfile of the attempt.
-        from ..obs.runtime import maybe_profile, set_cell
+        # Also report how many of the cell's traces this process built
+        # and how many it reused from earlier cells of the sweep.
+        from ..obs.runtime import maybe_profile, record_reuse, set_cell
 
         set_cell(cell.label)
+        synthesized, reused = reuse_counts()
         start = time.perf_counter()
         with maybe_profile(cell.label):
             result = cell.run()
-        return index, time.perf_counter() - start, result
+        elapsed = time.perf_counter() - start
+        after = reuse_counts()
+        record_reuse(key, after[0] - synthesized, after[1] - reused)
+        return index, elapsed, result
     start = time.perf_counter()
     result = cell.run()
     return index, time.perf_counter() - start, result
@@ -173,6 +180,10 @@ def _run_inline(cells: Sequence[Cell], keys: Sequence[str],
             break
 
 
+# One trace-reuse scope per sweep, closed however the sweep ends: inline
+# cells share it directly, pool workers open their own
+# (resilience.run_pool), queue workers one per drain (worker.work_loop).
+@trace_reuse()
 def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
               **legacy: Any) -> List[Any]:
     """Execute ``cells`` per ``config`` and return results in cell order.

@@ -56,6 +56,7 @@ from typing import (
 
 from ..errors import CellTimeoutError, ConfigurationError, WorkerError
 from ..store import ExperimentStore
+from ..trace.spec import worker_trace_reuse
 from .cells import Cell
 from .progress import Progress
 
@@ -237,11 +238,21 @@ def _kill_workers(ex: ProcessPoolExecutor) -> None:
             pass
 
 
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool whose workers each reuse traces across their cells.
+
+    The scope opens in the initializer rather than being inherited, so
+    it holds under any start method, and it ends with the worker.
+    """
+    return ProcessPoolExecutor(max_workers=workers,
+                               initializer=worker_trace_reuse)
+
+
 def _respawn(ex: ProcessPoolExecutor, workers: int) -> ProcessPoolExecutor:
     """Tear down a broken/hung pool and return a fresh one."""
     _kill_workers(ex)
     ex.shutdown(wait=True, cancel_futures=True)
-    return ProcessPoolExecutor(max_workers=workers)
+    return _new_pool(workers)
 
 
 def run_pool(cells: Sequence[Cell], keys: Sequence[str],
@@ -270,7 +281,7 @@ def run_pool(cells: Sequence[Cell], keys: Sequence[str],
     queue: List[int] = list(pending)
     workers = max(1, min(jobs, len(pending)))
     inflight: Dict["Future[CellOutcome]", _Flight] = {}
-    ex = ProcessPoolExecutor(max_workers=workers)
+    ex = _new_pool(workers)
 
     def conclude_failure(i: int, exc: BaseException) -> None:
         st = states[i]

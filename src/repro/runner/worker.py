@@ -61,6 +61,7 @@ from ..store.faults import maybe_faulty_store
 from ..store.queue import LOST_ERROR_TYPE, QueueItem, WorkQueue
 from ..store.retry import (RetryingStore, RetryObserver, StoreRetryPolicy,
                            is_transient_store_error)
+from ..trace.spec import trace_reuse
 from .cells import Cell
 from .pool import _execute
 from .progress import Progress
@@ -155,6 +156,9 @@ class _Heartbeat:
             _trace_event("lease_renew", worker=self.worker)
 
 
+# One drain is one sweep: its cells share traces, and the scope ends
+# with the drain.
+@trace_reuse()
 def work_loop(store_url: str, queue_name: str = "sweep", *,
               lease: float = 60.0, poll: float = 0.2,
               max_items: Optional[int] = None,

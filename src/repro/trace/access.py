@@ -47,6 +47,14 @@ class Trace:
         Defaults to a constant gap of 1 when omitted.
     name:
         Label used in experiment reports (e.g. the benchmark name).
+
+    Sharing contract: inside a sweep, every cell that asks
+    :meth:`~repro.trace.spec.BenchmarkProfile.trace` for the same trace
+    gets this same object (:func:`repro.trace.spec.trace_reuse`), and
+    with it the lazily cached :attr:`next_use`.  No caller may modify
+    ``addresses``, ``gaps``, ``name`` or the ``next_use`` array; derive
+    a new trace instead (:meth:`slice`, :meth:`with_offset`,
+    :meth:`concatenate`).
     """
 
     __slots__ = ("addresses", "gaps", "name", "_next_use")

@@ -35,7 +35,8 @@ of instructions per L2 access and sets each benchmark's memory intensity.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .access import Trace
@@ -50,7 +51,8 @@ from .synthetic import (
 
 __all__ = ["BenchmarkProfile", "BENCHMARKS", "benchmark_names",
            "benchmark_trace", "get_profile", "KB", "MB", "LINE_BYTES",
-           "lines_for_bytes"]
+           "lines_for_bytes", "reuse_counts", "trace_reuse",
+           "worker_trace_reuse"]
 
 LINE_BYTES = 64
 KB = 1024
@@ -60,6 +62,54 @@ MB = 1024 * KB
 def lines_for_bytes(num_bytes: int) -> int:
     """Cache lines needed for ``num_bytes`` of capacity."""
     return num_bytes // LINE_BYTES
+
+
+#: Traces synthesized inside the active reuse scope, keyed by
+#: ``(profile, length, seed, addr_base, scale)``; ``None`` outside one.
+_reused: Optional[Dict[tuple, Trace]] = None
+#: Nesting depth of :func:`trace_reuse` blocks in this process.
+_scopes = 0
+#: ``[synthesized, reused]`` calls made inside a scope in this process.
+_counts = [0, 0]
+
+
+@contextmanager
+def trace_reuse() -> Iterator[None]:
+    """Reuse every trace :meth:`BenchmarkProfile.trace` builds in the block.
+
+    The runner wraps each sweep's execution in one scope, so a trace
+    that several cells request is synthesized once per process.  Scopes
+    nest; the traces are dropped when the outermost block exits, even
+    on an exception.  Outside a scope every call synthesizes afresh.
+    """
+    global _reused, _scopes
+    if _scopes == 0:
+        _reused = {}
+    _scopes += 1
+    try:
+        yield
+    finally:
+        _scopes -= 1
+        if _scopes == 0:
+            _reused = None
+
+
+def worker_trace_reuse() -> None:
+    """Open a scope for the life of a pool worker process.
+
+    The pool's initializer: it starts an empty scope whatever state the
+    process inherited, and the scope ends when the worker exits with its
+    pool, after its sweep.
+    """
+    global _reused, _scopes
+    _reused = {}
+    _scopes = 1
+
+
+def reuse_counts() -> Tuple[int, int]:
+    """``(synthesized, reused)`` trace requests made inside scopes so far
+    in this process (the runner differences them around each cell)."""
+    return _counts[0], _counts[1]
 
 
 class BenchmarkProfile:
@@ -98,9 +148,24 @@ class BenchmarkProfile:
 
     def trace(self, length: int, *, seed: int = 0, addr_base: int = 0,
               scale: float = 1.0) -> Trace:
-        """Generate a trace of ``length`` L2 accesses."""
-        return self.generator(seed=seed, addr_base=addr_base,
-                              scale=scale).generate(length)
+        """Generate a trace of ``length`` L2 accesses.
+
+        Inside a :func:`trace_reuse` scope a repeated request returns the
+        :class:`Trace` object the first one built (see its sharing
+        contract).  The key is this profile object, not its name, so a
+        user-built profile never collides with a built-in one.
+        """
+        reused = _reused
+        key = (self, length, seed, addr_base, scale)
+        if reused is not None and key in reused:
+            _counts[1] += 1
+            return reused[key]
+        trace = self.generator(seed=seed, addr_base=addr_base,
+                               scale=scale).generate(length)
+        if reused is not None:
+            reused[key] = trace
+            _counts[0] += 1
+        return trace
 
 
 def _depth(base: int, scale: float) -> int:

@@ -10,10 +10,14 @@ both the miss-ratio-vs-size curve and associativity sensitivity — so the
 substitution preserves the behaviours under study (see DESIGN.md).
 
 Mechanics: the generator keeps an LRU stack of previously touched line
-addresses.  Each access either touches a *new* address (with the profile's
-``new_fraction`` — the compulsory/streaming component) or re-touches the
-address at a sampled stack depth, moving it to the top.  By construction
-the emitted trace's reuse-distance distribution matches the sampled one.
+addresses as a list whose *end* is the top of the stack: depth 0 is the
+most recently touched address, ``stack[-1]``, and depth ``d`` is
+``stack[-1 - d]``.  Each access either touches a *new* address (with the
+profile's ``new_fraction`` — the compulsory/streaming component), which
+is appended, or re-touches the address at a sampled stack depth, which
+is popped from depth ``d`` and appended again.  Either way the list
+moves ``d`` elements, not the whole stack.  By construction the emitted
+trace's reuse-distance distribution matches the sampled one.
 
 Components available for profiles:
 
@@ -195,10 +199,9 @@ class StackDistanceGenerator:
             if depth is None or depth >= len(stack):
                 addr = next_addr
                 next_addr += 1
-                stack.insert(0, addr)
             else:
-                addr = stack.pop(depth)
-                stack.insert(0, addr)
+                addr = stack.pop(-1 - depth)
+            stack.append(addr)
             addresses.append(addr)
             gaps.append(gaps_model.sample())
         return Trace(addresses, gaps, name=self.name)

@@ -21,7 +21,8 @@ GOOD_SPAN = {"index": 0, "cell": "fig5[mcf]", "experiment": "fig5",
              "key": "ab12", "status": "ok", "attempts": 1, "retries": 0,
              "losses": 0, "cache_hit": False, "errors": [],
              "wall": {"queued_s": 0.0, "started_s": 0.1,
-                      "finished_s": 1.0, "duration_s": 0.9}}
+                      "finished_s": 1.0, "duration_s": 0.9,
+                      "traces_synthesized": 2, "traces_reused": 5}}
 GOOD_MANIFEST = {"version": "1.0.0", "experiment": "fig5", "interval": 1024,
                  "profile": False,
                  "cells": {"total": 1, "completed": 1, "cached": 0,
@@ -83,6 +84,13 @@ def test_bad_series_rows_rejected(mutate, fragment):
     assert any(fragment in p for p in problems), problems
 
 
+def test_span_reuse_counts_may_be_null():
+    row = dict(GOOD_SPAN, wall=dict(GOOD_SPAN["wall"],
+                                    traces_synthesized=None,
+                                    traces_reused=None))
+    assert validate_span_row(row) == []
+
+
 def test_series_none_fields_allowed():
     row = dict(GOOD_SERIES, alpha=None, miss_rate=None)
     assert validate_series_row(row) == []
@@ -94,6 +102,11 @@ def test_series_none_fields_allowed():
     (lambda r: r.update(errors=["ok", 3]), "list of strings"),
     (lambda r: r.update(wall={"queued_s": 0.0}), "missing key"),
     (lambda r: r.update(duration_s=1.0), "unexpected key 'duration_s'"),
+    (lambda r: r["wall"].pop("traces_reused"),
+     "missing key 'traces_reused'"),
+    (lambda r: r["wall"].update(traces_synthesized=-1), "int >= 0 or null"),
+    (lambda r: r["wall"].update(traces_reused=1.5), "int >= 0 or null"),
+    (lambda r: r["wall"].update(traces_reused=True), "int >= 0 or null"),
 ])
 def test_bad_span_rows_rejected(mutate, fragment):
     row = dict(GOOD_SPAN, wall=dict(GOOD_SPAN["wall"]))

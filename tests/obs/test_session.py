@@ -153,3 +153,49 @@ def test_run_experiment_facade_records_telemetry(tmp_path):
     assert manifest["experiment"] == "fig3"
     assert manifest["cells"]["total"] > 0
     assert TELEMETRY_ENV not in os.environ
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_spans_record_trace_reuse(tmp_path, jobs):
+    from repro.obs.report import report_data
+    from repro.obs.schema import load_jsonl
+    from repro.runner import RunConfig
+
+    root = tmp_path / "fig6"
+    repro.run_experiment("fig6", scale="smoke", telemetry=root,
+                         run_config=RunConfig(jobs=jobs))
+    assert validate_run_dir(root) == []
+    assert not (root / "reuse").exists()  # folded into spans, removed
+    walls = [row["wall"] for row in load_jsonl(root / "spans.jsonl")]
+    counts = [(w["traces_synthesized"], w["traces_reused"]) for w in walls]
+    # fig6 smoke: 8 cells, each requesting one of 2 distinct traces.
+    assert all(s + r == 1 for s, r in counts)
+    synthesized = sum(s for s, _ in counts)
+    assert synthesized == 2 if jobs == 1 else 2 <= synthesized <= 4
+    totals = report_data(root)["synthesis"]
+    assert totals == {"cells": 8, "synthesized": synthesized,
+                      "reused": 8 - synthesized}
+    assert (f"synthesized={synthesized}  reused={8 - synthesized}  "
+            f"over 8 executed cell(s)") in render_report(root)
+
+
+def test_no_reuse_counts_without_telemetry(tmp_path, monkeypatch):
+    from repro.obs.runtime import record_reuse
+
+    assert series_config() is None
+    monkeypatch.chdir(tmp_path)
+    record_reuse("k", 1, 2)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_cells_have_no_reuse_counts(tmp_path):
+    from repro.obs.schema import load_jsonl
+
+    store = tmp_path / "store"
+    repro.run_experiment("fig6", scale="smoke", store=store)
+    repro.run_experiment("fig6", scale="smoke", store=store,
+                         telemetry=tmp_path / "warm")
+    for row in load_jsonl(tmp_path / "warm" / "spans.jsonl"):
+        assert row["status"] == "cached"
+        assert row["wall"]["traces_synthesized"] is None
+        assert row["wall"]["traces_reused"] is None

@@ -116,6 +116,6 @@ def test_write_jsonl_in_cell_order(tmp_path):
     path = telemetry.write_jsonl(tmp_path / "spans.jsonl")
     lines = path.read_text().splitlines()
     assert json.loads(lines[0]) == {"artifact": "spans",
-                                    "schema_version": 1}
+                                    "schema_version": 2}
     rows = [json.loads(line) for line in lines[1:]]
     assert [r["index"] for r in rows] == [0, 1, 2]

@@ -99,3 +99,20 @@ class FlakyConfig:
         return cls(n=3)
 
     scaled = paper = smoke
+
+
+def synthesize(name, length, seed):
+    """Build one benchmark trace; report this process and its
+    ``(synthesized, reused)`` trace counts so far."""
+    from repro.trace.spec import get_profile, reuse_counts
+
+    get_profile(name).trace(length, seed=seed)
+    return os.getpid(), reuse_counts()
+
+
+def synthesize_then_fail(name, length):
+    """Build one benchmark trace, then fail the cell."""
+    from repro.trace.spec import get_profile
+
+    get_profile(name).trace(length)
+    raise ValueError("failed after synthesis")

@@ -33,3 +33,17 @@ def test_no_cache_matches_cached(capsys, tmp_path):
     uncached = _stdout(capsys, base + ["--no-cache"])
     cached = _stdout(capsys, base + ["--cache-dir", str(tmp_path)])
     assert uncached == cached
+
+
+def test_trace_reuse_identical_in_every_mode(capsys, tmp_path):
+    # fig6 cells share traces, so each mode reuses them differently:
+    # inline in one scope, pool workers and queue workers each in their
+    # own.  The bytes must not depend on which.
+    base = ["fig6", "--scale", "smoke"]
+    inline = _stdout(capsys, base + ["--no-cache", "--jobs", "1"])
+    pooled = _stdout(capsys, base + ["--no-cache", "--jobs", "2"])
+    queued = _stdout(capsys, base + [
+        "--store", f"sqlite:{tmp_path / 'results.db'}",
+        "--queue-workers", "2"])
+    assert pooled == inline
+    assert queued == inline
