@@ -12,8 +12,8 @@ PY := PYTHONPATH=src python
 install:
 	pip install -e . || python setup.py develop
 
-# tests/runner/ exercises the worker pool (a --jobs 2 smoke-scale run
-# byte-compared against --jobs 1) on every invocation.
+# tests/runner/ exercises the forked queue workers (a --jobs 2
+# smoke-scale run byte-compared against --jobs 1) on every invocation.
 test:
 	pytest tests/
 
@@ -88,7 +88,7 @@ scenario-smoke:
 	$(PY) -m repro.obs validate scenario-run/obs/scenarios
 	test -n "$$(ls scenario-run/obs/scenarios/lifecycle/*.jsonl)"
 
-# Local mirror of the CI store-chaos job: a fig3 queue-worker run
+# Local mirror of the CI store-chaos job: a fig3 --jobs 2 queue run
 # under injected store faults (lock contention, claim latency) plus a
 # cell slower than its lease must print exactly the bytes a fault-free
 # --jobs 1 run prints; the heartbeat keeps steals at zero.
@@ -99,7 +99,7 @@ chaos-smoke:
 	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]}' \
 	REPRO_STORE_FAULTS='{"faults": [{"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
-		--queue-workers 2 --queue-lease 0.5 > chaos-run/chaos.out
+		--jobs 2 --queue-lease 0.5 > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
 	$(PY) -m repro.store status --store sqlite:chaos-run/results.db
 
@@ -107,14 +107,15 @@ chaos-smoke:
 # workers with --trace must print exactly the bytes a sequential
 # untraced run prints, leave schema-valid trace artifacts that stitch
 # into one complete span tree, project to a canonical form that is
-# byte-identical whatever the worker count, and pass the live
+# byte-identical whatever the worker count (2 against 4: scaled fig3
+# has 4 cells, so both fleets are fully occupied), and pass the live
 # aggregator's alert gate (steals/failures/stragglers all zero).
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
-	$(PY) -m repro.experiments fig3 --scale smoke --jobs 1 \
+	$(PY) -m repro.experiments fig3 --jobs 1 \
 		--cache-dir trace-run/baseline > trace-run/baseline.out
-	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/results.db --queue-workers 2 \
+	$(PY) -m repro.experiments fig3 \
+		--store sqlite:trace-run/results.db --jobs 2 \
 		--trace --telemetry=trace-run/obs > trace-run/fleet.out
 	cmp trace-run/baseline.out trace-run/fleet.out
 	$(PY) -m repro.obs validate trace-run/obs/fig3
@@ -122,13 +123,13 @@ trace-smoke:
 	$(PY) -m repro.obs trace trace-run/obs/fig3 > trace-run/tree.txt
 	$(PY) -m repro.obs trace --canonical trace-run/obs/fig3 \
 		> trace-run/canon-2w.txt
-	$(PY) -m repro.experiments fig3 --scale smoke \
-		--store sqlite:trace-run/solo.db --queue-workers 1 \
-		--trace --telemetry=trace-run/obs-solo > trace-run/solo.out
-	cmp trace-run/baseline.out trace-run/solo.out
-	$(PY) -m repro.obs trace --canonical trace-run/obs-solo/fig3 \
-		> trace-run/canon-1w.txt
-	cmp trace-run/canon-2w.txt trace-run/canon-1w.txt
+	$(PY) -m repro.experiments fig3 \
+		--store sqlite:trace-run/quad.db --jobs 4 \
+		--trace --telemetry=trace-run/obs-quad > trace-run/quad.out
+	cmp trace-run/baseline.out trace-run/quad.out
+	$(PY) -m repro.obs trace --canonical trace-run/obs-quad/fig3 \
+		> trace-run/canon-4w.txt
+	cmp trace-run/canon-2w.txt trace-run/canon-4w.txt
 	$(PY) -m repro.obs top trace-run/obs/fig3 \
 		--store sqlite:trace-run/results.db --once \
 		--rule "steals > 0" --rule "failed > 0" --rule "unfinished > 0"

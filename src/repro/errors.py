@@ -51,9 +51,8 @@ class CellTimeoutError(ReproError, RuntimeError):
 
     Raised (or recorded in a :class:`~repro.runner.FailedCell`) by
     :func:`repro.runner.run_cells` when ``cell_timeout`` is set and a
-    cell is still running past its deadline; the hung worker pool is
-    torn down and respawned, and the cell is retried if it has retry
-    budget left.
+    cell is still running past its deadline; the hung worker is killed
+    and replaced, and the cell is retried if it has retry budget left.
     """
 
 

@@ -1,10 +1,11 @@
 """Structured runner spans: one record per executed experiment cell.
 
 :class:`RunTelemetry` is the object the runner notifies
-(:func:`repro.runner.run_cells` / :func:`repro.runner.resilience.run_pool`
-accept it as their optional ``telemetry`` argument).  It materializes a
-:class:`CellSpan` per cell covering the full scheduling lifecycle —
-queued, started, retried attempts with their error types, pool losses,
+(:func:`repro.runner.run_cells` and the queue coordinator
+:func:`repro.runner.worker.run_queued` accept it as their optional
+``telemetry`` argument).  It materializes a :class:`CellSpan` per cell
+covering the full scheduling lifecycle —
+queued, started, retried attempts with their error types, worker losses,
 cache hits, permanent failure or success — and mirrors the deterministic
 facts into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
@@ -127,9 +128,8 @@ class RunTelemetry:
 
         With tracing enabled this also opens the sweep's trace: the
         trace ID (a pure function of the cell keys) is computed here
-        and exported as ``$REPRO_TRACE_ID`` so pool and inline workers
-        — which see no queue payload — join the trace from the
-        inherited environment.
+        and exported as ``$REPRO_TRACE_ID`` so inline attempts — which
+        see no queue payload — join the trace from the environment.
         """
         self._t0 = time.monotonic()
         if self.trace_dir is not None:
@@ -176,18 +176,18 @@ class RunTelemetry:
         if span.started_s is None:
             span.started_s = self._elapsed()
 
-    def retried(self, index: int, attempt: int,
-                error: BaseException) -> None:
-        """Attempt ``attempt`` failed and the cell will be retried."""
+    def retried(self, index: int, attempt: int, error_type: str) -> None:
+        """Attempt ``attempt`` failed with ``error_type`` (the exception
+        class name) and the cell will be retried."""
         span = self._span(index)
         span.retries += 1
-        span.errors.append(type(error).__name__)
+        span.errors.append(error_type)
         self.metrics.counter(
             "runner.retries", ("experiment", "error")).inc(
-                experiment=span.experiment, error=type(error).__name__)
+                experiment=span.experiment, error=error_type)
 
     def lost(self, index: int) -> None:
-        """The worker pool broke while the cell was in flight."""
+        """The worker running the cell died (or its lease was stolen)."""
         span = self._span(index)
         span.losses += 1
         self.metrics.counter("runner.pool.losses", ("experiment",)).inc(

@@ -2,7 +2,7 @@
 
 One sweep = one trace.  The coordinator opens a root ``sweep`` span and
 one ``cell`` span per cell; whichever process executes an attempt —
-queue worker, pool worker, or the coordinator itself inline — appends
+a queue worker, or the coordinator itself inline — appends
 ``claim`` / ``execute`` / ``ack`` / ``nack`` child spans to its own
 ``traces/<worker>.jsonl`` file.  The stitcher
 (:mod:`repro.obs.stitch`) rebuilds the tree from any mix of those
@@ -77,8 +77,8 @@ TRACE_ENV = "REPRO_TRACE"
 
 #: The active sweep's trace ID, exported by
 #: :meth:`RunTelemetry.begin <repro.obs.spans.RunTelemetry.begin>` so
-#: pool/inline workers (which receive no queue payload) can join the
-#: trace from the inherited environment.
+#: inline attempts (which receive no queue payload) can join the trace
+#: from the environment.
 TRACE_ID_ENV = "REPRO_TRACE_ID"
 
 #: Every span kind, in causal order.  ``sweep`` and ``cell`` are
@@ -313,7 +313,7 @@ def ambient_tracer(trace_id: Optional[str] = None) -> Optional[Tracer]:
     """A tracer for this process, or ``None`` when tracing is off.
 
     The trace ID comes from the caller (queue payloads carry it across
-    machines) or from ``$REPRO_TRACE_ID`` (pool/inline workers inherit
+    machines) or from ``$REPRO_TRACE_ID`` (inline attempts inherit
     it); the output file is ``$REPRO_TRACE/<worker>.jsonl``.  Writers
     are cached per path so one worker process appends to one file.
     """
@@ -355,7 +355,7 @@ def execute_span(label: str, key: str, attempt: int,
     ``ctx`` is the trace context a queue item carries
     (``{"trace": ..., "parent": ...}``); without one the trace ID comes
     from the environment and the parent defaults to the cell span's
-    derived ID — so pool and inline attempts join the same tree as
+    derived ID — so inline attempts join the same tree as
     queue attempts without any payload plumbing.
     """
     ctx = ctx or {}

@@ -1,9 +1,9 @@
 """Experiment-execution engine: parallel cells with content-addressed memoization.
 
 The runner decomposes an experiment into independent :class:`Cell`\\ s,
-executes them inline, across a ``multiprocessing`` worker pool, or
-through a store-backed work queue drained by independent worker
-processes (:func:`run_cells` with a :class:`RunConfig`), memoizes each
+executes them inline or through a store-backed work queue drained by
+forked worker processes (:func:`run_cells` with a :class:`RunConfig`;
+see :mod:`repro.runner.worker`), memoizes each
 cell's result in a pluggable :class:`~repro.store.ExperimentStore`
 keyed by a SHA-256 of its full configuration (checksummed and
 self-quarantining; see :mod:`repro.store`), and streams per-cell
@@ -14,8 +14,8 @@ experiments plug in.
 
 Execution is fault tolerant (:mod:`repro.runner.resilience`): failing
 cells retry with capped deterministic backoff, hung cells are killed by
-per-cell timeouts, dead workers respawn the pool and requeue only the
-lost cells, and ``keep_going`` sweeps complete with
+per-cell timeouts, a dead worker is replaced and only its cell is
+handed out again, and ``keep_going`` sweeps complete with
 :class:`FailedCell` sentinels plus a JSON failure manifest instead of
 aborting.  A deterministic fault-injection harness
 (:mod:`repro.runner.faults`) makes all of it testable.
@@ -23,7 +23,6 @@ aborting.  A deterministic fault-injection harness
 
 from .cache import (
     CacheCorruptionWarning,
-    ResultCache,
     canonical_encode,
     cell_key,
     code_version_salt,
@@ -50,7 +49,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFaultError",
     "Progress",
-    "ResultCache",
     "RetryPolicy",
     "RunConfig",
     "canonical_encode",

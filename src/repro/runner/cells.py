@@ -4,7 +4,7 @@ A figure's sweep (schemes x arrays x partition counts x seeds) is
 embarrassingly parallel: every point is an independent simulation whose
 inputs are fully described by its config.  Each experiment decomposes
 into a list of cells; the runner (:mod:`repro.runner.pool`) executes them
-— sequentially or across a process pool — and hands the ordered results
+— inline or across forked queue workers — and hands the ordered results
 to the experiment's ``reduce`` function.
 
 Cells must be deterministic and picklable:

@@ -4,8 +4,8 @@
 :func:`repro.runner.run_cells`, :meth:`ExperimentSpec.run
 <repro.experiments.registry.ExperimentSpec.run>` and
 :func:`repro.api.run_experiment` — parallelism, the experiment store,
-the resilience policy, progress/telemetry sinks and queue-driven
-execution all travel together as one validated, immutable value::
+the resilience policy, progress/telemetry sinks and the work-queue
+knobs all travel together as one validated, immutable value::
 
     from repro.runner import RunConfig, run_cells
 
@@ -46,8 +46,11 @@ class RunConfig:
     Parameters
     ----------
     jobs:
-        Worker processes for the in-process pool.  ``1`` (default) runs
-        inline; ``None`` or ``0`` means one per CPU.
+        Worker processes.  ``1`` (default) runs inline; ``N > 1`` forks
+        ``N`` local workers that drain the store's work queue (a
+        temporary ``sqlite:`` store when ``store`` is ``None``); ``None``
+        or ``0`` means one per CPU.  A ``cell_timeout`` also routes a
+        ``jobs=1`` sweep through the queue, so a hung cell can be killed.
     store:
         Experiment store holding memoized cell results: a store URL
         (``local:PATH``, ``sqlite:PATH``), a bare directory path
@@ -74,19 +77,14 @@ class RunConfig:
         :class:`~repro.obs.session.TelemetrySession` constructed with
         ``trace=True`` — the session owns the trace directory.  Off by
         default; when off, no trace code runs and no artifacts appear.
-    queue_workers:
-        When set, route pending cells through the store's work queue
-        and execute them in that many *independent worker processes*
-        (``python -m repro.runner.worker``) instead of the in-process
-        pool.  Requires a ``store``.  Output stays byte-identical to
-        any other execution mode.
     queue_name:
         Which named queue of the store to publish into (one queue per
         concurrent sweep; the default suits single-sweep runs).
     queue_lease:
         Seconds a queue worker may hold a claimed cell before another
-        worker may steal it (crash recovery; see
-        :mod:`repro.store.queue`).
+        worker may steal it (crash recovery for workers joined with
+        ``python -m repro.runner.worker``; the coordinator recovers its
+        own workers' cells at once; see :mod:`repro.store.queue`).
     queue_renew_interval:
         Seconds between lease-renewal heartbeats while a queue worker
         executes a cell.  ``None`` (default) derives ``queue_lease / 3``;
@@ -111,7 +109,6 @@ class RunConfig:
     progress: Optional[Progress] = None  # reprolint: cli-exempt
     telemetry: Optional["RunTelemetry"] = None
     trace: bool = False
-    queue_workers: Optional[int] = None
     queue_name: str = "sweep"  # reprolint: cli-exempt
     queue_lease: float = 60.0
     queue_renew_interval: Optional[float] = None
@@ -120,9 +117,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         # RetryPolicy construction validates the resilience fields.
         self.policy()
-        if self.queue_workers is not None and self.queue_workers < 1:
-            raise ConfigurationError(
-                f"queue_workers must be >= 1, got {self.queue_workers}")
         if self.queue_lease <= 0:
             raise ConfigurationError(
                 f"queue_lease must be positive, got {self.queue_lease}")
@@ -134,10 +128,6 @@ class RunConfig:
         if self.store_retries < 0:
             raise ConfigurationError(
                 f"store_retries must be >= 0, got {self.store_retries}")
-        if self.queue_workers is not None and self.store is None:
-            raise ConfigurationError(
-                "queue-driven execution (queue_workers=...) requires a "
-                "store — workers hand results back through it")
         if self.trace and self.telemetry is None:
             raise ConfigurationError(
                 "trace=True requires a telemetry collector "

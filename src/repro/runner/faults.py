@@ -1,6 +1,6 @@
 """Deterministic fault injection for exercising the resilience layer.
 
-None of the runner's fault tolerance (retries, timeouts, pool recovery,
+None of the runner's fault tolerance (retries, timeouts, worker recovery,
 cache quarantine — :mod:`repro.runner.resilience`) is testable without
 controlled failures, so this module injects them *deterministically*: a
 :class:`FaultPlan` names exact cells (by label) and exact attempt
@@ -11,7 +11,7 @@ chaos run's final stdout stays byte-identical to a fault-free run.
 The plan travels through the :data:`REPRO_FAULTS <FAULTS_ENV>`
 environment variable (inline JSON, or ``@/path/to/plan.json``), which
 worker processes inherit, so faults trigger identically whether a cell
-runs inline (``jobs=1``) or inside a pool worker.
+runs inline (``jobs=1``) or inside a queue worker.
 
 Fault kinds:
 
@@ -23,8 +23,8 @@ Fault kinds:
     ``cell_timeout`` to exercise hung-cell recovery).
 ``kill``
     ``SIGKILL`` the executing process (a dead worker; with ``jobs > 1``
-    this breaks the pool and exercises respawn-and-requeue — with
-    ``jobs == 1`` it kills the parent, exactly as a real crash would).
+    this exercises worker replacement and the hand-back of its cell —
+    inline it kills the parent, exactly as a real crash would).
 ``corrupt``
     Parent-side, before cache hits are resolved: overwrite the cell's
     *existing* result-cache entry with garbage bytes, exercising the

@@ -1,15 +1,14 @@
 """Parallel, cached execution of experiment cells with an ordered reduce.
 
 :func:`run_cells` is the single entry point.  It resolves store hits in
-the parent, executes the remaining cells — inline (``jobs == 1``),
-across a process pool (``jobs > 1``), or through the store's work queue
-drained by independent worker processes (``queue_workers=N``; see
+the parent, executes the remaining cells — inline (``jobs == 1``, or a
+single pending cell, with no ``cell_timeout``), or through the store's
+work queue drained by ``jobs`` forked local workers (see
 :mod:`repro.runner.worker`) — persists every freshly computed result to
 the experiment store *as it completes* (so an interrupted sweep resumes
 from where it died), and returns results in cell order — the reduce
 step therefore sees the exact sequence a sequential run would have
-produced, making parallel and distributed output byte-identical to
-sequential output.
+produced, making parallel output byte-identical to sequential output.
 
 Execution is configured by a :class:`~repro.runner.RunConfig`
 (``run_cells(cells, RunConfig(jobs=4, store="sqlite:results.db"))``);
@@ -18,15 +17,14 @@ the historical keyword style still works behind a deprecation shim
 
 Determinism: before executing a cell, the runner reseeds the global
 ``random`` and ``numpy.random`` generators from the cell's
-content-addressed key.  This happens identically inline, in pool
-workers, in queue workers, and on *every retry attempt*
-(:mod:`repro.runner.resilience`), so a cell that (incorrectly) reaches
-for global randomness still cannot diverge between ``--jobs 1``,
-``--jobs N``, ``--queue-workers N``, or a retried run.
+content-addressed key.  This happens identically inline, in queue
+workers, and on *every retry attempt*, so a cell that (incorrectly)
+reaches for global randomness still cannot diverge between ``--jobs 1``,
+``--jobs N``, or a retried run.
 
-Fault tolerance (``retries`` / ``cell_timeout`` / ``keep_going``) is
-provided by :mod:`repro.runner.resilience`; deterministic fault
-injection for testing it by :mod:`repro.runner.faults`.
+Fault tolerance (``retries`` / ``cell_timeout`` / ``keep_going``)
+follows :class:`~repro.runner.resilience.RetryPolicy`; deterministic
+fault injection for testing it lives in :mod:`repro.runner.faults`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .cells import Cell
 from .config import RunConfig, coerce_run_config
 from .faults import active_plan, corrupt_cache_entries, inject
 from .progress import Progress
-from .resilience import FailedCell, RetryPolicy, run_pool
+from .resilience import FailedCell, RetryPolicy
 
 if TYPE_CHECKING:
     from ..obs.spans import RunTelemetry
@@ -82,8 +80,8 @@ def _execute(payload: Sequence[Any]) -> Tuple[int, float, Any]:
     ``payload`` is ``(index, key, cell, attempt)`` with an optional
     fifth element: the distributed-trace context a queue item carries
     (``{"trace": ..., "parent": ...}``; see :mod:`repro.obs.trace`).
-    Pool submissions stay 4-tuples — with tracing on, pool and inline
-    attempts join the trace through the inherited environment instead.
+    Inline attempts pass 4-tuples and join the trace through the
+    environment instead.
 
     Reseeds the global RNGs from the cell key before *every* attempt, so
     a retried cell is byte-identical to a first-try run; then gives the
@@ -153,9 +151,10 @@ def _run_inline(cells: Sequence[Cell], keys: Sequence[str],
                 if failed_attempts <= policy.retries:
                     backoff = policy.delay(failed_attempts)
                     if telemetry is not None:
-                        telemetry.retried(i, attempt, exc)
+                        telemetry.retried(i, attempt, type(exc).__name__)
                     if progress is not None:
-                        progress.retry(cells[i], attempt, exc, backoff)
+                        progress.retry(cells[i], attempt,
+                                       type(exc).__name__, str(exc), backoff)
                     time.sleep(backoff)
                     continue
                 if telemetry is not None:
@@ -181,15 +180,15 @@ def _run_inline(cells: Sequence[Cell], keys: Sequence[str],
 
 
 # One trace-reuse scope per sweep, closed however the sweep ends: inline
-# cells share it directly, pool workers open their own
-# (resilience.run_pool), queue workers one per drain (worker.work_loop).
+# cells share it directly, queue workers open one per drain
+# (worker.work_loop).
 @trace_reuse()
 def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
               **legacy: Any) -> List[Any]:
     """Execute ``cells`` per ``config`` and return results in cell order.
 
     ``config`` is a :class:`~repro.runner.RunConfig` — parallelism
-    (``jobs`` / ``queue_workers``), the experiment store, the
+    (``jobs``), the experiment store, the
     resilience policy (``retries`` / ``cell_timeout`` / ``keep_going``)
     and the progress/telemetry sinks in one value; see its docstring
     for every field.  The legacy keyword style
@@ -197,16 +196,16 @@ def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
     single :class:`DeprecationWarning` per call; the removed ``cache=``
     alias of ``store`` is an error.
 
-    Execution modes (all byte-identical in output):
+    Execution modes (byte-identical in output):
 
-    - inline — ``jobs=1`` and no ``cell_timeout``;
-    - process pool — ``jobs>1`` or a ``cell_timeout`` (a hung cell's
-      worker must be killable), self-healing per
-      :mod:`repro.runner.resilience`;
-    - work queue — ``queue_workers=N`` publishes pending cells to the
-      store's claim/ack queue and drains it with ``N`` independent
-      ``python -m repro.runner.worker`` processes
-      (:func:`repro.runner.worker.run_queued`).
+    - inline — ``jobs=1`` (or a single pending cell) and no
+      ``cell_timeout``;
+    - work queue — otherwise: the pending cells are published to the
+      store's claim/ack queue and drained by ``jobs`` local workers
+      forked from this process, which the coordinator kills on a
+      ``cell_timeout`` and replaces when they die
+      (:func:`repro.runner.worker.run_queued`).  Without a store the
+      queue lives in a temporary ``sqlite:`` store.
 
     Store hits short-circuit execution; fresh results persist as each
     cell completes, so interrupted sweeps resume from the store.  Under
@@ -254,29 +253,22 @@ def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
         pending.append(i)
 
     if pending:
-        if cfg.queue_workers is not None:
-            from .worker import run_queued
-
-            assert store is not None  # RunConfig.__post_init__ enforces
-            pool_results, _ = run_queued(
-                cells, keys, pending, store=store, policy=policy,
-                workers=cfg.queue_workers, queue_name=cfg.queue_name,
-                lease=cfg.queue_lease, progress=progress,
-                telemetry=telemetry,
-                renew_interval=cfg.queue_renew_interval,
-                store_retries=cfg.store_retries)
-            for i, value in pool_results.items():
-                results[i] = value
-        elif (policy.cell_timeout is None
-                and (jobs == 1 or len(pending) == 1)):
+        if policy.cell_timeout is None and (jobs == 1 or len(pending) == 1):
             _run_inline(cells, keys, pending, policy, results, store,
                         progress, telemetry)
         else:
-            pool_results, _ = run_pool(
-                cells, keys, pending, jobs=jobs, policy=policy,
-                execute=_execute, store=store, progress=progress,
-                telemetry=telemetry)
-            for i, value in pool_results.items():
+            from .worker import run_queued, sweep_store
+
+            with sweep_store(store) as queue_store:
+                queued = run_queued(
+                    cells, keys, pending, store=queue_store, policy=policy,
+                    workers=jobs, queue_name=cfg.queue_name,
+                    lease=cfg.queue_lease, progress=progress,
+                    telemetry=telemetry,
+                    renew_interval=cfg.queue_renew_interval,
+                    store_retries=cfg.store_retries,
+                    queue_gauges=store is not None)
+            for i, value in queued.items():
                 results[i] = value
 
     if telemetry is not None and store is not None:
@@ -284,7 +276,7 @@ def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
 
     failures = [r for r in results if isinstance(r, FailedCell)]
     if failures and not policy.keep_going:
-        # (The inline path raised already; this is the pool/queue path.)
+        # (The inline path raised already; this is the queue path.)
         if len(failures) == 1 and isinstance(failures[0].exc, ReproError):
             raise failures[0].exc
         detail = "; ".join(f"{f.label}: {f.error_type}: {f.message}"

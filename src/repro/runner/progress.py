@@ -45,12 +45,12 @@ class Progress:
         self.emit(f"[{cell.experiment} {self._done}/{self._total}] "
                   f"{cell.label}: {status}")
 
-    def retry(self, cell: Cell, attempt: int, error: BaseException,
-              backoff: float) -> None:
+    def retry(self, cell: Cell, attempt: int, error_type: str,
+              message: str, backoff: float) -> None:
         """Record a failed attempt that will be retried (not counted as
         done — the cell is still in flight)."""
         self.emit(f"[{cell.experiment}] {cell.label}: attempt {attempt} "
-                  f"failed ({type(error).__name__}: {error}); "
+                  f"failed ({error_type}: {message}); "
                   f"retrying in {backoff:.2f}s")
 
     def note(self, message: str) -> None:
@@ -63,8 +63,7 @@ class Progress:
         if not self.enabled:
             return
         # One write + flush per line: FAILED/retry lines and normal cell
-        # lines land atomically on the shared stream, so a pool callback
-        # firing between a print()'s message and its newline can no
-        # longer interleave output under --jobs > 1.
+        # lines land atomically on the shared stream, so no other writer
+        # can slip between a message and its newline under --jobs > 1.
         self.stream.write(message + "\n")
         self.stream.flush()

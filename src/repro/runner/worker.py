@@ -1,73 +1,74 @@
-"""Queue-driven sweep execution: independent worker processes.
+"""Queue-driven sweep execution: the coordinator and its workers.
 
 Two halves of one protocol (see :mod:`repro.store.queue`):
 
-* :func:`work_loop` — the worker side.  ``python -m repro.runner.worker
-  --store sqlite:results.db`` opens the store, claims queue items one
-  at a time, executes each cell through the same
-  :func:`repro.runner.pool._execute` body as the in-process pool (same
-  per-attempt RNG reseed, same fault injection, same telemetry
-  environment), persists the result to the store and acks.  Any number
-  of workers may run concurrently — on this machine or any machine
-  that can reach the store.
-* :func:`run_queued` — the coordinator side, called by
-  :func:`repro.runner.run_cells` when ``queue_workers=N`` is set.  It
-  publishes the pending cells as queue items (one per cell index, so
-  resume is stable), spawns ``N`` worker subprocesses, collects
-  results from the store as items complete, and maps queue failures
-  onto the usual :class:`~repro.runner.FailedCell` sentinels — retry
-  policies, failure manifests and ``keep_going`` semantics are
-  identical to pool execution, and so is the output, byte for byte.
+* :func:`work_loop` — the worker side: claim items one at a time, run
+  each cell through the same :func:`repro.runner.pool._execute` body as
+  inline execution, persist the result and ack, or nack with the
+  attempt's pickled exception.  ``python -m repro.runner.worker --store
+  URL --queue NAME`` joins a published sweep from any process that can
+  reach the store.
+* :func:`run_queued` — the coordinator side, which
+  :func:`repro.runner.run_cells` uses for every parallel or timed
+  sweep: publish the pending cells (item id = cell index, so resume is
+  stable), fork ``jobs`` local workers with the ``multiprocessing``
+  default context (each opens an empty trace-reuse scope), and fold the
+  queue's state into results, spans and progress as items finish.
 
-Crash recovery is the lease-renewal protocol of
-:mod:`repro.store.queue`: while a claimed cell executes, a background
-*heartbeat thread* renews the worker's lease every ``renew_interval``
-seconds (default ``lease / 3``), so a **live** worker running a long
-cell is never stolen from, no matter how slow the cell.  A worker that
-**dies** mid-cell (crashed, killed, wedged) stops heartbeating; its
-lease expires and another worker steals the item — charged against the
-item's loss budget — while the coordinator respawns replacement workers
-up to a budget.  Delivery is therefore at-least-once: a stall longer
-than the heartbeat can still race a stealer, and both may execute the
-same cell.  That is safe by construction — cells are deterministic
-(per-attempt RNG reseed from the cell key) and store puts are
-idempotent, so a double execution is invisible in the results.
+The coordinator owns its forked workers, so it kills one whose cell
+runs past ``cell_timeout`` (the item is nacked as
+:class:`~repro.errors.CellTimeoutError`; the replacement is free),
+releases the item of one that died at once instead of waiting out the
+lease (a loss; the next hand-out is a new attempt; replacements come
+out of a respawn budget), and wakes idle ones to exit as soon as the
+last result is in.
 
-Store resilience: every store/queue operation a worker makes goes
-through :mod:`repro.store.retry` — transient errors (SQLite lock
-contention, ``EAGAIN``-family ``OSError``) retry with bounded
-deterministic backoff; a *permanent* store error (malformed database,
-``ENOSPC``) aborts the worker with :data:`EXIT_STORE_PERMANENT`, which
-the coordinator treats as "do not respawn" — a broken store will not
-heal by throwing fresh processes at it.
+Workers it does not own recover through leases: a heartbeat thread
+renews the lease every ``renew_interval`` seconds (default
+``lease / 3``) while a cell runs, so a live worker is never stolen
+from; a dead one stops renewing, and another worker steals its item
+after the lease expires, with the same attempt number.  Delivery is
+at-least-once, which is safe: cells are deterministic and store puts
+idempotent.
+
+Every store/queue operation retries transient errors
+(:mod:`repro.store.retry`); a permanent one (malformed database,
+``ENOSPC``) aborts the worker with :data:`EXIT_STORE_PERMANENT`, and
+the coordinator does not respawn into a broken store.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import pickle
+import shutil
 import sqlite3
-import subprocess
 import sys
+import tempfile
 import threading
 import time
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from multiprocessing.connection import wait
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from ..errors import WorkerError
+from ..errors import CellTimeoutError, WorkerError
 from ..store import ExperimentStore, open_store
 from ..store.faults import maybe_faulty_store
-from ..store.queue import LOST_ERROR_TYPE, QueueItem, WorkQueue
+from ..store.queue import ItemState, QueueItem, WorkQueue
 from ..store.retry import (RetryingStore, RetryObserver, StoreRetryPolicy,
                            is_transient_store_error)
-from ..trace.spec import trace_reuse
+from ..trace.spec import trace_reuse, worker_trace_reuse
 from .cells import Cell
 from .pool import _execute
 from .progress import Progress
 from .resilience import FailedCell, RetryPolicy
 
 if TYPE_CHECKING:
+    from multiprocessing.synchronize import Event
+
     from ..obs.spans import RunTelemetry
 
 __all__ = ["EXIT_STORE_PERMANENT", "work_loop", "run_queued", "main"]
@@ -156,6 +157,36 @@ class _Heartbeat:
             _trace_event("lease_renew", worker=self.worker)
 
 
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` pickled for the coordinator to re-raise.
+
+    An exception that does not survive a pickle round trip travels as a
+    :class:`~repro.errors.WorkerError` naming its type and message.
+    """
+    try:
+        blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return pickle.dumps(WorkerError(f"{type(exc).__name__}: {exc}"),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _unpickled(state: ItemState) -> BaseException:
+    """The exception a failed item carries (see :func:`_pickled`), or a
+    :class:`~repro.errors.WorkerError` from its type and message when it
+    carries none (a lost lease, an older worker)."""
+    if state.exception:
+        try:
+            exc = pickle.loads(state.exception)
+        except Exception:
+            exc = None
+        if isinstance(exc, BaseException):
+            return exc
+    return WorkerError(f"{state.error_type or 'WorkerError'}: "
+                       f"{state.message}")
+
+
 # One drain is one sweep: its cells share traces, and the scope ends
 # with the drain.
 @trace_reuse()
@@ -166,14 +197,17 @@ def work_loop(store_url: str, queue_name: str = "sweep", *,
               backoff_base: float = 0.05,
               backoff_cap: float = 2.0,
               renew_interval: Optional[float] = None,
-              store_retries: int = 5) -> int:
+              store_retries: int = 5,
+              stop: Optional["Event"] = None) -> int:
     """Claim and execute queue items until the queue drains.
 
     Returns the number of items processed (successful or not).  The
-    loop exits when every published item is ``done`` or ``failed``, or
+    loop exits when every published item is ``done`` or ``failed``,
     after ``max_items`` claims (a test/ops hook: a worker stopped at
     ``--max-items K`` leaves a partially drained queue that the next
-    worker — or a full rerun — picks up seamlessly).
+    worker — or a full rerun — picks up seamlessly), or once ``stop``
+    is set (the coordinator has every result; an idle worker wakes from
+    its poll at once).
 
     While a cell runs, a :class:`_Heartbeat` thread renews the lease
     every ``renew_interval`` seconds (``None`` = ``lease / 3``; ``0``
@@ -202,7 +236,8 @@ def work_loop(store_url: str, queue_name: str = "sweep", *,
     queue = store.make_queue(queue_name)
     processed = 0
     try:
-        while max_items is None or processed < max_items:
+        while ((max_items is None or processed < max_items)
+               and not (stop is not None and stop.is_set())):
             claim_t0 = wall_now() if tracing else None
             item = queue.claim(wid, lease)
             if item is None:
@@ -210,7 +245,10 @@ def work_loop(store_url: str, queue_name: str = "sweep", *,
                     break
                 # Everything runnable is claimed by someone else (or
                 # backing off); poll until a lease frees or expires.
-                time.sleep(poll)
+                if stop is None:
+                    time.sleep(poll)
+                else:
+                    stop.wait(poll)
                 continue
             loaded = pickle.loads(item.payload)
             index, key, cell = loaded[:3]
@@ -250,6 +288,7 @@ def work_loop(store_url: str, queue_name: str = "sweep", *,
             except Exception as exc:
                 if beat is not None:
                     beat.stop()
+                blob = _pickled(exc)
                 if tracer is not None and exec_ctx is not None:
                     with tracer.span("nack", cell.label, key=key,
                                      attempt=attempt,
@@ -257,16 +296,16 @@ def work_loop(store_url: str, queue_name: str = "sweep", *,
                         nspan.status = "error"
                         nspan.event("error", det=True,
                                     error=type(exc).__name__)
-                        retry = queue.nack(item.item_id,
-                                           type(exc).__name__, str(exc))
+                        retry = queue.nack(item.item_id, type(exc).__name__,
+                                           str(exc), blob)
                         nspan.event(
                             "retry_scheduled" if retry
                             else "attempts_exhausted", det=True)
                 else:
                     retry = queue.nack(item.item_id, type(exc).__name__,
-                                       str(exc))
+                                       str(exc), blob)
                 if retry:
-                    # Same deterministic capped backoff as the pool.
+                    # Same deterministic capped backoff as inline.
                     time.sleep(min(backoff_cap,
                                    backoff_base * 2 ** item.attempts))
                 continue
@@ -295,36 +334,105 @@ def work_loop(store_url: str, queue_name: str = "sweep", *,
     return processed
 
 
-def _spawn_worker(store: ExperimentStore, queue_name: str, lease: float,
-                  policy: RetryPolicy, ordinal: int,
-                  renew_interval: Optional[float] = None,
-                  store_retries: int = 5) -> "subprocess.Popen[bytes]":
-    """Start one ``python -m repro.runner.worker`` subprocess.
+def _drain(store_url: str, queue_name: str, wid: str,
+           **options: Any) -> int:
+    """Run :func:`work_loop` as worker ``wid``; return its exit code.
 
-    The environment is inherited wholesale, so fault plans
-    (``REPRO_FAULTS``, ``REPRO_STORE_FAULTS``), telemetry
-    (``REPRO_TELEMETRY``) and cache salts reach workers exactly as they
-    reach pool workers; the package's own source tree is prepended to
-    ``PYTHONPATH`` so workers resolve the same ``repro`` the
-    coordinator runs.  ``store.url`` is always the *raw* backend URL
-    (proxies delegate it), so each worker builds its own
-    fault-injection/retry stack from the inherited environment.
+    A store error escaping the loop survived the transient-retry budget
+    (or was permanent outright): this worker cannot make progress
+    against this store, so it exits :data:`EXIT_STORE_PERMANENT`.
     """
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    cmd = [sys.executable, "-m", "repro.runner.worker",
-           "--store", store.url, "--queue", queue_name,
-           "--lease", repr(lease),
-           "--backoff-base", repr(policy.backoff_base),
-           "--backoff-cap", repr(policy.backoff_cap),
-           "--store-retries", str(store_retries),
-           "--worker-id", f"worker-{ordinal}-{os.getpid()}"]
-    if renew_interval is not None:
-        # Omitted = each worker derives lease / 3 itself.
-        cmd += ["--renew-interval", repr(renew_interval)]
-    return subprocess.Popen(cmd, env=env)
+    try:
+        processed = work_loop(store_url, queue_name, worker_id=wid,
+                              **options)
+    except (sqlite3.Error, OSError) as exc:
+        flavor = ("transient, retry budget exhausted"
+                  if is_transient_store_error(exc) else "permanent")
+        print(f"[{wid}] store failure ({flavor}): "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_STORE_PERMANENT
+    print(f"[{wid}] processed {processed} queue item(s)", file=sys.stderr)
+    return 0
+
+
+def _local_worker(store_url: str, queue_name: str, wid: str,
+                  options: Dict[str, Any]) -> None:
+    """A forked worker: an empty trace-reuse scope, then one drain."""
+    worker_trace_reuse()
+    sys.exit(_drain(store_url, queue_name, wid, **options))
+
+
+class _Fleet:
+    """The coordinator's forked workers, by worker ID.
+
+    ``budget`` bounds how many dead workers are replaced; a worker the
+    coordinator killed itself is replaced for free.  :attr:`stop` wakes
+    idle workers to exit.
+    """
+
+    def __init__(self, store_url: str, queue_name: str,
+                 options: Dict[str, Any], budget: int) -> None:
+        # The default start method (fork on Linux): workers inherit the
+        # coordinator's modules, and whatever was installed in them,
+        # without paying an interpreter start-up per worker.
+        self._ctx = multiprocessing.get_context()
+        self.stop = self._ctx.Event()
+        self._args = (store_url, queue_name, dict(options, stop=self.stop))
+        self.procs: Dict[str, Any] = {}
+        self.ids: List[str] = []  # every worker ever started
+        self.budget = budget
+
+    def start(self, *, free: bool = True) -> None:
+        if not free:
+            if self.budget <= 0:
+                return
+            self.budget -= 1
+        wid = f"worker-{len(self.ids) + 1}-{os.getpid()}"
+        store_url, queue_name, options = self._args
+        proc = self._ctx.Process(target=_local_worker, name=wid,
+                                 args=(store_url, queue_name, wid, options))
+        proc.start()
+        self.procs[wid] = proc
+        self.ids.append(wid)
+
+    def reap(self) -> List[Tuple[str, int]]:
+        """Forget exited workers; their ``(worker ID, exit code)``."""
+        exited = [(wid, proc.exitcode) for wid, proc in self.procs.items()
+                  if proc.exitcode is not None]
+        for wid, _ in exited:
+            self.procs.pop(wid).join()
+        return exited
+
+    def kill(self, wid: str) -> None:
+        proc = self.procs.pop(wid)
+        proc.kill()
+        proc.join()
+
+    def shutdown(self, grace: float = 10.0) -> None:
+        """Stop every worker: idle ones at once, busy ones after their
+        cell, stragglers past ``grace`` seconds by force."""
+        self.stop.set()
+        deadline = time.monotonic() + grace
+        for wid in list(self.procs):
+            self.procs[wid].join(max(0.1, deadline - time.monotonic()))
+            self.kill(wid)
+
+
+@contextmanager
+def sweep_store(store: Optional[ExperimentStore]
+                ) -> Iterator[ExperimentStore]:
+    """``store``, or for a sweep without one a throwaway ``sqlite:``
+    store that holds the queue and hands results back."""
+    if store is not None:
+        yield store
+        return
+    scratch = tempfile.mkdtemp(prefix="repro-sweep-")
+    store = open_store(f"sqlite:{os.path.join(scratch, 'queue.db')}")
+    try:
+        yield store
+    finally:
+        store.close()
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def run_queued(cells: Sequence[Cell], keys: Sequence[str],
@@ -334,14 +442,18 @@ def run_queued(cells: Sequence[Cell], keys: Sequence[str],
                poll: float = 0.1, progress: Optional[Progress] = None,
                telemetry: Optional["RunTelemetry"] = None,
                renew_interval: Optional[float] = None,
-               store_retries: int = 5,
-               ) -> Tuple[Dict[int, Any], Dict[int, FailedCell]]:
+               store_retries: int = 5, queue_gauges: bool = True,
+               ) -> Dict[int, Any]:
     """Coordinator: drive ``pending`` cell indices through the queue.
 
-    Returns ``(results, failures)`` with the same contract as
-    :func:`repro.runner.resilience.run_pool` — every pending index maps
-    to its value or its :class:`FailedCell`; raising on failures is the
-    caller's policy decision.
+    Forks ``workers`` local workers (at most one per pending cell) and
+    returns every pending index's value or :class:`FailedCell`;
+    raising on failures is the caller's decision.
+    Spans, retry lines and failures match inline execution: the queue's
+    error history replays every failed attempt, however many
+    transitions one poll spans.  ``queue_gauges`` mirrors the queue's
+    renewal and steal counts (schedule facts) into ``telemetry``; the
+    runner asks for them only for a queue in the user's own store.
     """
     # The coordinator's own store traffic (publish, snapshots, result
     # collection) gets the same fault-injection + retry stack the
@@ -364,7 +476,7 @@ def run_queued(cells: Sequence[Cell], keys: Sequence[str],
                   payload=_payload(i), max_attempts=policy.retries + 1)
         for i in pending])
     # A rerun after failures retries exactly the failed cells, matching
-    # the failure-manifest contract of pool execution.
+    # the failure-manifest contract of inline execution.
     queue.requeue_failed()
     # The store, not the queue, is the durability source of truth:
     # every index in ``pending`` is already known missing from the
@@ -376,33 +488,53 @@ def run_queued(cells: Sequence[Cell], keys: Sequence[str],
                        if i in states and states[i].status == "done"])
 
     results: Dict[int, Any] = {}
-    failures: Dict[int, FailedCell] = {}
+    replayed = dict.fromkeys(pending, 0)  # error-history entries folded
+    losses = dict.fromkeys(pending, 0)
+    claimed_at: Dict[Tuple[int, str, int], float] = {}
     nworkers = max(1, min(workers, len(pending)))
-    respawn_budget = nworkers * (policy.loss_budget + 1)
-    permanent_exits = 0
-    procs: List["subprocess.Popen[bytes]"] = [
-        _spawn_worker(store, queue_name, lease, policy, n,
-                      renew_interval, store_retries)
-        for n in range(nworkers)]
+    fleet = _Fleet(store.url, queue_name, {
+        "lease": lease, "backoff_base": policy.backoff_base,
+        "backoff_cap": policy.backoff_cap, "renew_interval": renew_interval,
+        "store_retries": store_retries},
+        budget=nworkers * (policy.loss_budget + 1))
 
-    def collect() -> bool:
-        """Fold finished queue items into results; True when all are in."""
-        states = queue.snapshot()
+    def fold(states: Dict[int, ItemState]) -> None:
+        """Fold the queue's state into results, spans and progress."""
+        now = time.monotonic()
         for i in pending:
-            if i in results:
-                continue
             state = states.get(i)
-            if state is None:
+            if i in results or state is None:
                 continue
-            if state.status == "done":
+            # An item that spent its attempts ends on a nack: its last
+            # history entry is the terminal error, not a retry.
+            nacked = (state.status == "failed"
+                      and len(state.errors) > policy.retries)
+            retried = len(state.errors) - nacked
+            for n in range(replayed[i], retried):
+                attempt, error_type, message = state.errors[n]
+                if telemetry is not None:
+                    telemetry.retried(i, attempt, error_type)
+                if progress is not None:
+                    progress.retry(cells[i], attempt, error_type, message,
+                                   policy.delay(n + 1))
+            replayed[i] = max(replayed[i], retried)
+            if telemetry is not None:
+                for _ in range(state.losses - losses[i]):
+                    telemetry.lost(i)
+                if state.status in ("claimed", "done"):
+                    telemetry.started(i, state.attempts + 1)
+            losses[i] = max(losses[i], state.losses)
+            if state.status == "claimed":
+                claimed_at.setdefault((i, state.worker, state.attempts), now)
+            elif state.status == "done":
                 hit, value = store.get(keys[i])
                 if not hit:
                     # Acked but unreadable (store corrupted between ack
                     # and collect): surface it as a failure.
-                    _fail(i, "WorkerError",
-                          f"queue marked {cells[i].label} done but its "
-                          f"result is missing from {store.url}",
-                          state.attempts or 1, state.elapsed)
+                    fail(i, WorkerError(
+                        f"queue marked {cells[i].label} done but its "
+                        f"result is missing from {store.url}"),
+                        state.attempts + 1)
                     continue
                 results[i] = value
                 if telemetry is not None:
@@ -410,89 +542,119 @@ def run_queued(cells: Sequence[Cell], keys: Sequence[str],
                 if progress is not None:
                     progress.cell(cells[i], elapsed=state.elapsed)
             elif state.status == "failed":
-                _fail(i, state.error_type or "WorkerError", state.message,
-                      max(state.attempts, 1), state.elapsed)
-        return len(results) == len(pending)
+                fail(i, _unpickled(state), max(state.attempts, 1),
+                     state.error_type, state.message, lost=not nacked)
 
-    def _fail(i: int, error_type: str, message: str, attempts: int,
-              elapsed: float) -> None:
-        exc = WorkerError(f"{error_type}: {message}")
-        failed = FailedCell(
+    def fail(i: int, exc: BaseException, attempts: int,
+             error_type: str = "WorkerError", message: str = "",
+             lost: bool = True) -> None:
+        message = message or str(exc)
+        failed = results[i] = FailedCell(
             index=i, label=cells[i].label, key=keys[i],
-            error_type=error_type, message=message, attempts=attempts,
-            elapsed=round(elapsed, 3), exc=exc)
-        failures[i] = failed
-        results[i] = failed
+            error_type=error_type or "WorkerError", message=message,
+            attempts=attempts, elapsed=0.0, exc=exc)
         if telemetry is not None:
-            telemetry.failed(i, exc, attempts, elapsed)
-            if error_type in (LOST_ERROR_TYPE, "WorkerError"):
-                # The worker died (or the fleet aborted) without
-                # nacking, so no worker-side terminal span exists; the
-                # coordinator writes a ``lost`` leaf instead.  Worker-
-                # nacked failures already have their nack terminal.
-                telemetry.trace_lost(i, error_type, attempts)
+            telemetry.failed(i, exc, attempts, 0.0)
+            if lost:
+                # No worker nacked the final attempt, so no worker-side
+                # terminal span exists: the coordinator writes ``lost``.
+                telemetry.trace_lost(i, failed.error_type, attempts)
         if progress is not None:
             progress.cell(cells[i], failed=True)
 
+    def time_out(states: Dict[int, ItemState], timeout: float) -> None:
+        """Kill workers whose cell is past ``timeout``; nack the cell."""
+        now = time.monotonic()
+        for i in pending:
+            state = states.get(i)
+            if (i in results or state is None or state.status != "claimed"
+                    or state.worker not in fleet.procs
+                    or now - claimed_at[(i, state.worker, state.attempts)]
+                    < timeout):
+                continue
+            fleet.kill(state.worker)
+            fleet.start()
+            current = queue.snapshot().get(i)
+            if current is not None and current.worker == state.worker:
+                exc = CellTimeoutError(
+                    f"cell {cells[i].label} exceeded its cell-timeout of "
+                    f"{timeout:g}s on attempt {state.attempts + 1}")
+                queue.nack(i, type(exc).__name__, str(exc), _pickled(exc))
+
+    def release(dead: Sequence[str]) -> None:
+        """Hand back at once every item a dead worker held."""
+        for i, state in queue.snapshot().items():
+            if state.status == "claimed" and state.worker in dead:
+                exc = WorkerError(
+                    f"worker pool broke {policy.loss_budget + 1} times "
+                    f"while cell {cells[i].label} was in flight (worker "
+                    f"killed or died?)")
+                queue.release(i, state.worker, "WorkerError", str(exc),
+                              _pickled(exc))
+
+    permanent_exits = 0
     try:
-        while not collect():
-            # Reap dead workers; respawn while budget remains (a worker
-            # killed by a cell exercises the lease-steal path, but with
-            # one worker someone must still be alive to steal).  A
-            # worker reporting EXIT_STORE_PERMANENT shrinks the fleet
-            # instead: a broken store will not heal with a fresh
-            # process, so burning respawn budget on it only loops.
-            alive: List["subprocess.Popen[bytes]"] = []
-            for p in procs:
-                code = p.poll()
-                if code is None:
-                    alive.append(p)
-                elif code == EXIT_STORE_PERMANENT:
+        for _ in range(nworkers):
+            fleet.start()
+        while True:
+            states = queue.snapshot()
+            fold(states)
+            if len(results) == len(pending):
+                break
+            if policy.cell_timeout is not None:
+                time_out(states, policy.cell_timeout)
+            # A dead worker is replaced out of the respawn budget; one
+            # that exited on a permanent store error is not — a broken
+            # store will not heal with a fresh process.
+            dead = []
+            for wid, code in fleet.reap():
+                if code == EXIT_STORE_PERMANENT:
                     permanent_exits += 1
-                    nworkers = max(nworkers - 1, 0)
-            procs = alive
-            missing = nworkers - len(procs)
-            while missing > 0 and respawn_budget > 0:
-                procs.append(_spawn_worker(
-                    store, queue_name, lease, policy, respawn_budget,
-                    renew_interval, store_retries))
-                respawn_budget -= 1
-                missing -= 1
-            if not procs:
-                # No workers and no budget: fail whatever is unfinished
-                # rather than waiting forever.
+                elif code != 0:
+                    dead.append(wid)
+                    fleet.start(free=False)
+            if dead:
+                release(dead)
+            elif not fleet.procs:
+                # Workers exit cleanly only once the queue has drained:
+                # one more look, then fail whatever is left.
+                fold(queue.snapshot())
                 reason = (
                     f"queue workers aborted on permanent store errors "
                     f"({permanent_exits} worker(s); see worker stderr)"
-                    if permanent_exits and nworkers == 0 else
+                    if permanent_exits else
                     "queue workers exhausted their respawn budget "
                     "before the cell finished")
                 states = queue.snapshot()
                 for i in pending:
                     if i not in results:
-                        state = states.get(i)
-                        _fail(i, "WorkerError", reason,
-                              (state.attempts if state else 0) or 1,
-                              state.elapsed if state else 0.0)
+                        attempts = states[i].attempts if i in states else 0
+                        fail(i, WorkerError(f"WorkerError: {reason}"),
+                             attempts or 1, message=reason)
                 break
-            time.sleep(poll)
-        if telemetry is not None:
+            else:
+                wait([proc.sentinel for proc in fleet.procs.values()],
+                     poll)
+        if telemetry is not None and queue_gauges:
             final = queue.snapshot()
             telemetry.queue_stats(
                 queue_name,
                 renewals=sum(s.renewals for s in final.values()),
                 steals=sum(s.losses for s in final.values()))
     finally:
-        deadline = time.monotonic() + 10.0
-        for proc in procs:
-            # Workers exit on their own once the queue drains; give
-            # them a moment, then insist.
+        fleet.shutdown()
+        if len(results) < len(pending):
+            # Interrupted: the workers are gone, so hand back what they
+            # still held rather than make the rerun wait out their
+            # leases.  Best effort — the interruption is what to report.
             try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-    return results, failures
+                queue.reset_items([
+                    i for i, state in queue.snapshot().items()
+                    if state.status == "claimed"
+                    and state.worker in fleet.ids])
+            except (sqlite3.Error, OSError):
+                pass
+    return results
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -532,25 +694,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--backoff-base", type=float, default=0.05)
     parser.add_argument("--backoff-cap", type=float, default=2.0)
     args = parser.parse_args(argv)
-    wid = args.worker_id or f"worker-{os.getpid()}"
-    try:
-        processed = work_loop(
-            args.store, args.queue, lease=args.lease, poll=args.poll,
-            max_items=args.max_items, worker_id=args.worker_id,
-            backoff_base=args.backoff_base, backoff_cap=args.backoff_cap,
-            renew_interval=args.renew_interval,
-            store_retries=args.store_retries)
-    except (sqlite3.Error, OSError) as exc:
-        # A store-layer error escaping work_loop already survived the
-        # transient-retry budget (or was permanent outright): either
-        # way this worker cannot make progress against this store.
-        flavor = ("transient, retry budget exhausted"
-                  if is_transient_store_error(exc) else "permanent")
-        print(f"[{wid}] store failure ({flavor}): "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_STORE_PERMANENT
-    print(f"[{wid}] processed {processed} queue item(s)", file=sys.stderr)
-    return 0
+    return _drain(
+        args.store, args.queue, args.worker_id or f"worker-{os.getpid()}",
+        lease=args.lease, poll=args.poll, max_items=args.max_items,
+        backoff_base=args.backoff_base, backoff_cap=args.backoff_cap,
+        renew_interval=args.renew_interval,
+        store_retries=args.store_retries)
 
 
 if __name__ == "__main__":

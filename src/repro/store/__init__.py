@@ -5,13 +5,14 @@ Public surface:
 * :class:`ExperimentStore` — the abstract checksummed store interface
   (``get``/``put``/``contains``/``quarantine``/``purge``/``stats``).
 * :class:`LocalFileStore` (``local:PATH``) — directory of pickles, the
-  historical ``ResultCache`` layout.
+  historical result-cache layout.
 * :class:`SQLiteStore` (``sqlite:PATH``) — single WAL-mode database
   file, safe for concurrent worker processes.
 * :func:`open_store` / :func:`resolve_store` — URL/path/instance →
   store resolution against :data:`STORE_BACKENDS`.
 * :mod:`repro.store.queue` — claim/renew/ack/requeue work queue over a
-  store for multi-process sweeps (``python -m repro.runner.worker``).
+  store for parallel sweeps (forked local workers, or
+  ``python -m repro.runner.worker`` joining from elsewhere).
 * :mod:`repro.store.retry` — transient-vs-permanent error
   classification and :class:`RetryingStore` / :class:`RetryingQueue`
   bounded-backoff wrappers.

@@ -87,7 +87,7 @@ STORE_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
 
 #: Interceptable operations; ``*`` matches all of them.
 STORE_FAULT_OPS = ("get", "put", "quarantine", "claim", "ack", "nack",
-                   "renew", "publish", "snapshot", "*")
+                   "release", "renew", "publish", "snapshot", "*")
 
 _PLAN_FIELDS = frozenset(
     {"op", "kind", "every", "times", "seconds", "rate", "seed", "message"})
@@ -329,9 +329,16 @@ class FaultyQueue(WorkQueueProxy):
         self.injector.inject("ack")
         self.inner.ack(item_id, elapsed)
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def nack(self, item_id: int, error_type: str, message: str,
+             exception: bytes = b"") -> bool:
         self.injector.inject("nack")
-        return self.inner.nack(item_id, error_type, message)
+        return self.inner.nack(item_id, error_type, message, exception)
+
+    def release(self, item_id: int, worker: str, error_type: str,
+                message: str, exception: bytes = b"") -> bool:
+        self.injector.inject("release")
+        return self.inner.release(item_id, worker, error_type, message,
+                                  exception)
 
     def snapshot(self) -> Dict[int, ItemState]:
         self.injector.inject("snapshot")

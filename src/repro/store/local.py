@@ -1,7 +1,6 @@
 """Directory-of-pickles store backend: the original on-disk layout.
 
-This is the historical :class:`repro.runner.cache.ResultCache` behavior
-extracted behind the :class:`~repro.store.base.ExperimentStore`
+This is the runner's original result-cache layout, extracted behind the :class:`~repro.store.base.ExperimentStore`
 interface.  Layout on disk (two-level fan-out keeps directories
 small)::
 

@@ -1,9 +1,9 @@
 """Claim/ack/requeue work queue over an experiment store.
 
-The queue is how a sweep fans out across *independent processes* rather
-than one parent's process pool: the coordinator publishes one item per
-pending cell (the pickled cell rides along as an opaque payload), any
-number of workers (``python -m repro.runner.worker``) claim items,
+The queue is how every parallel sweep fans out across processes: the
+coordinator publishes one item per pending cell (the pickled cell rides
+along as an opaque payload), its forked local workers — and any
+``python -m repro.runner.worker`` joining from elsewhere — claim items,
 execute them, persist results to the store and acknowledge; the
 coordinator collects results from the store as items finish.
 
@@ -24,7 +24,13 @@ Protocol (mirrors the in-process retry policy of
 * **nack** — the attempt raised; the item returns to ``pending`` until
   its ``max_attempts`` budget (retries + 1) is spent, then it is marked
   ``failed`` with the final error, exactly like a
-  :class:`~repro.runner.resilience.FailedCell`.
+  :class:`~repro.runner.resilience.FailedCell`.  Every nack appends to
+  the item's error history and keeps the attempt's pickled exception,
+  so a coordinator can replay retries and re-raise the cell's own error.
+* **release** — the holder is *known* dead (its coordinator reaped the
+  process): hand the item back at once instead of waiting out the
+  lease.  Charged as a loss like a steal, but the dead attempt is over,
+  so the next claim is a new attempt.
 
 Delivery is **at-least-once**: a worker that stalls past its lease may
 race a stealer, and both may execute the same cell.  That is safe by
@@ -47,6 +53,7 @@ reason).
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -56,7 +63,7 @@ import sqlite3
 import tempfile
 import time
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple)
@@ -105,9 +112,13 @@ class QueueItem:
 
     @property
     def loss_budget(self) -> int:
-        """How many lease expiries this item survives (cf.
+        """How many lost holders this item survives (cf.
         :attr:`repro.runner.resilience.RetryPolicy.loss_budget`)."""
-        return max(self.max_attempts - 1, 1)
+        return _loss_budget(self.max_attempts)
+
+
+def _loss_budget(max_attempts: int) -> int:
+    return max(max_attempts - 1, 1)
 
 
 @dataclass
@@ -116,8 +127,13 @@ class ItemState:
 
     ``worker`` / ``lease_expires`` identify the current claim holder
     (empty / ``0.0`` outside ``claimed``); ``losses`` counts lease
-    steals and ``renewals`` heartbeat renewals — together they tell a
-    live long cell (renewals, no losses) from a dead worker (losses).
+    steals and releases, ``renewals`` heartbeat renewals — together they
+    tell a live long cell (renewals, no losses) from a dead worker
+    (losses).  ``attempts`` counts the attempts that ended without a
+    result (nacked or released), so the next claim runs attempt
+    ``attempts + 1``; ``errors`` holds ``(attempt, error_type,
+    message)`` for each nacked attempt, oldest first, and ``exception``
+    the last nack's pickled exception (``b""`` when it had none).
     """
 
     status: str = "pending"
@@ -129,6 +145,8 @@ class ItemState:
     elapsed: float = 0.0
     worker: str = ""
     lease_expires: float = 0.0
+    errors: List[Tuple[int, str, str]] = field(default_factory=list)
+    exception: bytes = b""
 
 
 def sweep_fingerprint(items: Sequence[QueueItem]) -> str:
@@ -181,9 +199,25 @@ class WorkQueue(ABC):
         """Mark ``item_id`` done (its result is in the store)."""
 
     @abstractmethod
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def nack(self, item_id: int, error_type: str, message: str,
+             exception: bytes = b"") -> bool:
         """Record a failed attempt; ``True`` when the item re-queued,
-        ``False`` when its attempt budget is spent (now ``failed``)."""
+        ``False`` when its attempt budget is spent (now ``failed``).
+
+        ``exception`` is the attempt's pickled exception, kept so the
+        coordinator can surface the cell's own error.
+        """
+
+    @abstractmethod
+    def release(self, item_id: int, worker: str, error_type: str,
+                message: str, exception: bytes = b"") -> bool:
+        """Hand back ``worker``'s claim on ``item_id``: its holder died.
+
+        Charged as a loss; the next claim is a new attempt.  ``True``
+        when the item re-queued; ``False`` when ``worker`` no longer
+        holds it, or when the loss spent the item's loss budget — it is
+        then ``failed`` with the given error.
+        """
 
     @abstractmethod
     def requeue_failed(self) -> int:
@@ -232,6 +266,18 @@ class WorkQueue(ABC):
         """Items not yet ``done`` or ``failed``."""
         counts = self.counts()
         return counts["pending"] + counts["claimed"]
+
+
+#: Column assignments that return a row to a fresh ``pending`` state —
+#: everything cleared, the stale worker/lease of the last holder too.
+_FRESH = ("status = 'pending', attempts = 0, losses = 0, renewals = 0, "
+          "error_type = '', message = '', elapsed = 0, worker = '', "
+          "lease_expires = 0, errors = '[]', exception = x''")
+
+
+def _history(rows: Sequence[Sequence[Any]]) -> List[Tuple[int, str, str]]:
+    """Decoded error history: JSON arrays back to typed tuples."""
+    return [(int(a), str(t), str(m)) for a, t, m in rows]
 
 
 class SQLiteWorkQueue(WorkQueue):
@@ -305,7 +351,8 @@ class SQLiteWorkQueue(WorkQueue):
                         if losses > item.loss_budget:
                             conn.execute(
                                 "UPDATE work_queue SET status = 'failed', "
-                                "losses = ?, error_type = ?, message = ? "
+                                "losses = ?, error_type = ?, message = ?, "
+                                "exception = x'' "
                                 "WHERE queue = ? AND item_id = ?",
                                 (losses, LOST_ERROR_TYPE,
                                  f"lease on {label} expired {losses} "
@@ -339,31 +386,69 @@ class SQLiteWorkQueue(WorkQueue):
     def ack(self, item_id: int, elapsed: float = 0.0) -> None:
         self.store.execute(
             "UPDATE work_queue SET status = 'done', elapsed = ?, "
-            "error_type = '', message = '', worker = '', "
-            "lease_expires = 0 "
+            "error_type = '', message = '', exception = x'', "
+            "worker = '', lease_expires = 0 "
             "WHERE queue = ? AND item_id = ?",
             (round(elapsed, 6), self.name, item_id))
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def nack(self, item_id: int, error_type: str, message: str,
+             exception: bytes = b"") -> bool:
         with self.store.locked() as conn:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 row = conn.execute(
-                    "SELECT attempts, max_attempts FROM work_queue "
+                    "SELECT attempts, max_attempts, errors FROM work_queue "
                     "WHERE queue = ? AND item_id = ?",
                     (self.name, item_id)).fetchone()
                 if row is None:
                     conn.execute("COMMIT")
                     return False
                 attempts = int(row[0]) + 1
-                retry = attempts < int(row[1])
+                errors = json.loads(row[2])
+                errors.append([attempts, error_type, message])
+                retry = len(errors) < int(row[1])
                 conn.execute(
                     "UPDATE work_queue SET status = ?, attempts = ?, "
-                    "error_type = ?, message = ?, worker = '', "
-                    "lease_expires = 0 "
+                    "errors = ?, error_type = ?, message = ?, "
+                    "exception = ?, worker = '', lease_expires = 0 "
                     "WHERE queue = ? AND item_id = ?",
                     ("pending" if retry else "failed", attempts,
-                     error_type, message, self.name, item_id))
+                     json.dumps(errors), error_type, message,
+                     sqlite3.Binary(exception), self.name, item_id))
+                conn.execute("COMMIT")
+                return retry
+            except BaseException:
+                conn.execute("ROLLBACK")
+                raise
+
+    def release(self, item_id: int, worker: str, error_type: str,
+                message: str, exception: bytes = b"") -> bool:
+        with self.store.locked() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                row = conn.execute(
+                    "SELECT losses, max_attempts FROM work_queue "
+                    "WHERE queue = ? AND item_id = ? "
+                    "AND status = 'claimed' AND worker = ?",
+                    (self.name, item_id, worker)).fetchone()
+                if row is None:
+                    conn.execute("COMMIT")
+                    return False
+                losses = int(row[0]) + 1
+                retry = losses <= _loss_budget(int(row[1]))
+                conn.execute(
+                    "UPDATE work_queue SET status = ?, losses = ?, "
+                    "attempts = attempts + 1, worker = '', "
+                    "lease_expires = 0 WHERE queue = ? AND item_id = ?",
+                    ("pending" if retry else "failed", losses,
+                     self.name, item_id))
+                if not retry:
+                    conn.execute(
+                        "UPDATE work_queue SET error_type = ?, "
+                        "message = ?, exception = ? "
+                        "WHERE queue = ? AND item_id = ?",
+                        (error_type, message, sqlite3.Binary(exception),
+                         self.name, item_id))
                 conn.execute("COMMIT")
                 return retry
             except BaseException:
@@ -379,9 +464,7 @@ class SQLiteWorkQueue(WorkQueue):
             # worker/lease of the last holder included — matching
             # reset_items and the local backend.
             self.store.execute(
-                "UPDATE work_queue SET status = 'pending', attempts = 0, "
-                "losses = 0, renewals = 0, error_type = '', message = '', "
-                "elapsed = 0, worker = '', lease_expires = 0 "
+                f"UPDATE work_queue SET {_FRESH} "
                 "WHERE queue = ? AND status = 'failed'", (self.name,))
         return failed
 
@@ -394,9 +477,7 @@ class SQLiteWorkQueue(WorkQueue):
         existing = sorted({int(r[0]) for r in rows} & set(wanted))
         if existing:
             self.store.transaction([
-                ("UPDATE work_queue SET status = 'pending', attempts = 0, "
-                 "losses = 0, renewals = 0, error_type = '', message = '', "
-                 "elapsed = 0, worker = '', lease_expires = 0 "
+                (f"UPDATE work_queue SET {_FRESH} "
                  "WHERE queue = ? AND item_id = ?", (self.name, item_id))
                 for item_id in existing])
         return len(existing)
@@ -404,14 +485,16 @@ class SQLiteWorkQueue(WorkQueue):
     def snapshot(self) -> Dict[int, ItemState]:
         rows = self.store.query(
             "SELECT item_id, status, attempts, losses, renewals, "
-            "error_type, message, elapsed, worker, lease_expires "
-            "FROM work_queue WHERE queue = ?",
+            "error_type, message, elapsed, worker, lease_expires, "
+            "errors, exception FROM work_queue WHERE queue = ?",
             (self.name,))
         return {int(r[0]): ItemState(status=r[1], attempts=int(r[2]),
                                      losses=int(r[3]), renewals=int(r[4]),
                                      error_type=r[5], message=r[6],
                                      elapsed=float(r[7]), worker=r[8],
-                                     lease_expires=float(r[9]))
+                                     lease_expires=float(r[9]),
+                                     errors=_history(json.loads(r[10])),
+                                     exception=bytes(r[11]))
                 for r in rows}
 
     def peek(self, item_id: int) -> Optional[QueueItem]:
@@ -487,15 +570,18 @@ class LocalWorkQueue(WorkQueue):
         except (OSError, ValueError):
             return None
         state = ItemState()
-        for field, value in doc.items():
-            if hasattr(state, field):
-                setattr(state, field, value)
+        for name, value in doc.items():
+            if hasattr(state, name):
+                setattr(state, name, value)
+        state.errors = _history(state.errors)
+        state.exception = base64.b64decode(state.exception)
         return state
 
     def _write_state(self, item_id: int, state: ItemState) -> None:
+        doc = asdict(state)
+        doc["exception"] = base64.b64encode(state.exception).decode("ascii")
         self._replace_bytes(self._state_path(item_id),
-                            json.dumps(asdict(state),
-                                       sort_keys=True).encode("utf-8"))
+                            json.dumps(doc, sort_keys=True).encode("utf-8"))
 
     def _read_lease(self, item_id: int) -> float:
         try:
@@ -503,6 +589,12 @@ class LocalWorkQueue(WorkQueue):
             return float(doc.get("lease_expires", 0.0))
         except (OSError, ValueError):
             return 0.0
+
+    def _drop_token(self, item_id: int) -> None:
+        try:
+            os.unlink(self._token_path(item_id))
+        except OSError:
+            pass
 
     def _read_item(self, item_id: int) -> Optional[QueueItem]:
         try:
@@ -593,11 +685,9 @@ class LocalWorkQueue(WorkQueue):
                     state.message = (f"lease on {item.label} expired "
                                      f"{state.losses} times (worker "
                                      f"killed or died?)")
+                    state.exception = b""
                     self._write_state(item_id, state)
-                    try:
-                        os.unlink(self._token_path(item_id))
-                    except OSError:
-                        pass
+                    self._drop_token(item_id)
                     continue
             state.status = "claimed"
             state.worker = worker
@@ -635,28 +725,47 @@ class LocalWorkQueue(WorkQueue):
         state.message = ""
         state.worker = ""
         state.lease_expires = 0.0
+        state.exception = b""
         self._write_state(item_id, state)
-        try:
-            os.unlink(self._token_path(item_id))
-        except OSError:
-            pass
+        self._drop_token(item_id)
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def nack(self, item_id: int, error_type: str, message: str,
+             exception: bytes = b"") -> bool:
         state = self._read_state(item_id) or ItemState()
         item = self._read_item(item_id)
         max_attempts = item.max_attempts if item is not None else 1
         state.attempts += 1
-        retry = state.attempts < max_attempts
+        state.errors.append((state.attempts, error_type, message))
+        retry = len(state.errors) < max_attempts
         state.status = "pending" if retry else "failed"
         state.error_type = error_type
         state.message = message
+        state.exception = exception
         state.worker = ""
         state.lease_expires = 0.0
         self._write_state(item_id, state)
-        try:
-            os.unlink(self._token_path(item_id))
-        except OSError:
-            pass
+        self._drop_token(item_id)
+        return retry
+
+    def release(self, item_id: int, worker: str, error_type: str,
+                message: str, exception: bytes = b"") -> bool:
+        state = self._read_state(item_id)
+        item = self._read_item(item_id)
+        if (state is None or item is None or state.status != "claimed"
+                or state.worker != worker):
+            return False
+        state.losses += 1
+        state.attempts += 1
+        retry = state.losses <= item.loss_budget
+        state.status = "pending" if retry else "failed"
+        if not retry:
+            state.error_type = error_type
+            state.message = message
+            state.exception = exception
+        state.worker = ""
+        state.lease_expires = 0.0
+        self._write_state(item_id, state)
+        self._drop_token(item_id)
         return retry
 
     def requeue_failed(self) -> int:
@@ -666,10 +775,7 @@ class LocalWorkQueue(WorkQueue):
             if state is None or state.status != "failed":
                 continue
             self._write_state(item_id, ItemState())
-            try:
-                os.unlink(self._token_path(item_id))
-            except OSError:
-                pass
+            self._drop_token(item_id)
             reset += 1
         return reset
 
@@ -679,10 +785,7 @@ class LocalWorkQueue(WorkQueue):
             if self._read_item(item_id) is None:
                 continue
             self._write_state(item_id, ItemState())
-            try:
-                os.unlink(self._token_path(item_id))
-            except OSError:
-                pass
+            self._drop_token(item_id)
             reset += 1
         return reset
 
@@ -732,8 +835,14 @@ class WorkQueueProxy(WorkQueue):
     def ack(self, item_id: int, elapsed: float = 0.0) -> None:
         self.inner.ack(item_id, elapsed)
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
-        return self.inner.nack(item_id, error_type, message)
+    def nack(self, item_id: int, error_type: str, message: str,
+             exception: bytes = b"") -> bool:
+        return self.inner.nack(item_id, error_type, message, exception)
+
+    def release(self, item_id: int, worker: str, error_type: str,
+                message: str, exception: bytes = b"") -> bool:
+        return self.inner.release(item_id, worker, error_type, message,
+                                  exception)
 
     def requeue_failed(self) -> int:
         return self.inner.requeue_failed()

@@ -169,10 +169,18 @@ class RetryingQueue(WorkQueueProxy):
     def ack(self, item_id: int, elapsed: float = 0.0) -> None:
         self._retry("queue.ack", lambda: self.inner.ack(item_id, elapsed))
 
-    def nack(self, item_id: int, error_type: str, message: str) -> bool:
+    def nack(self, item_id: int, error_type: str, message: str,
+             exception: bytes = b"") -> bool:
         return self._retry(
             "queue.nack",
-            lambda: self.inner.nack(item_id, error_type, message))
+            lambda: self.inner.nack(item_id, error_type, message, exception))
+
+    def release(self, item_id: int, worker: str, error_type: str,
+                message: str, exception: bytes = b"") -> bool:
+        return self._retry(
+            "queue.release",
+            lambda: self.inner.release(item_id, worker, error_type, message,
+                                       exception))
 
     def requeue_failed(self) -> int:
         return self._retry("queue.requeue_failed", self.inner.requeue_failed)

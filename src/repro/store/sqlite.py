@@ -60,6 +60,8 @@ _SCHEMA = (
         error_type TEXT NOT NULL DEFAULT '',
         message TEXT NOT NULL DEFAULT '',
         elapsed REAL NOT NULL DEFAULT 0,
+        errors TEXT NOT NULL DEFAULT '[]',
+        exception BLOB NOT NULL DEFAULT x'',
         PRIMARY KEY (queue, item_id))""",
     """CREATE TABLE IF NOT EXISTS queue_meta (
         queue TEXT PRIMARY KEY,
@@ -71,6 +73,8 @@ _SCHEMA = (
 #: idempotent ``ALTER TABLE`` migration on connect.
 _MIGRATIONS = (
     "ALTER TABLE work_queue ADD COLUMN renewals INTEGER NOT NULL DEFAULT 0",
+    "ALTER TABLE work_queue ADD COLUMN errors TEXT NOT NULL DEFAULT '[]'",
+    "ALTER TABLE work_queue ADD COLUMN exception BLOB NOT NULL DEFAULT x''",
 )
 
 

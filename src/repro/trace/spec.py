@@ -95,15 +95,17 @@ def trace_reuse() -> Iterator[None]:
 
 
 def worker_trace_reuse() -> None:
-    """Open a scope for the life of a pool worker process.
+    """Open a scope for the life of a forked worker process.
 
-    The pool's initializer: it starts an empty scope whatever state the
-    process inherited, and the scope ends when the worker exits with its
-    pool, after its sweep.
+    The first thing a local queue worker does: it starts an empty scope
+    and zeroed reuse counts whatever state the process inherited from
+    its parent, and the scope ends when the worker exits after its
+    sweep.
     """
     global _reused, _scopes
     _reused = {}
     _scopes = 1
+    _counts[:] = [0, 0]
 
 
 def reuse_counts() -> Tuple[int, int]:

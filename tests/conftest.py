@@ -16,6 +16,13 @@ from repro.core.futility import LRURanking
 from repro.core.schemes.partitioning_first import PartitioningFirstScheme
 
 
+def pytest_configure(config):
+    # Registered here too so ``@pytest.mark.timeout`` stays warning-free
+    # where the pytest-timeout plugin (which enforces it) is absent.
+    config.addinivalue_line(
+        "markers", "timeout(seconds): fail a test that runs longer")
+
+
 def drive_uniform(cache: PartitionedCache, accesses: int, *,
                   num_partitions: int = None, address_space: int = 1000,
                   seed: int = 0) -> PartitionedCache:

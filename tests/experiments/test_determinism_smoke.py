@@ -17,8 +17,8 @@ from repro.runner.pool import _seed_from_key
 
 
 def _run_pickled(cell) -> bytes:
-    """Execute one cell the way a pool worker would, returning the bytes
-    :class:`repro.runner.cache.ResultCache` would persist."""
+    """Execute one cell the way a queue worker would, returning the bytes
+    a :class:`repro.store.LocalFileStore` would persist."""
     _seed_from_key(cell_key(cell))
     return pickle.dumps(cell.run(), protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import RunTelemetry
-from repro.runner import Cell, ResultCache, run_cells
+from repro.runner import Cell, run_cells
+from repro.store import LocalFileStore
 
 from .helpers import broken_cell, flaky_cell, sim_cell
 
@@ -44,7 +45,7 @@ def test_fresh_run_spans():
 
 
 def test_cached_run_spans(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    cache = LocalFileStore(tmp_path / "cache")
     run_cells(_cells(), jobs=1, store=cache)
     telemetry = RunTelemetry()
     run_cells(_cells(), jobs=1, store=cache, telemetry=telemetry)
@@ -83,13 +84,19 @@ def test_failed_cell_span_keep_going():
     assert counts["failed"] == 1 and counts["completed"] == 2
 
 
-def test_pool_run_matches_inline_spans():
-    """Spans minus wall must be identical at jobs=1 and jobs=2."""
+def test_pool_run_matches_inline_spans(tmp_path):
+    """Spans minus wall must be identical at jobs=1 and jobs=2, for a
+    retried cell as much as for first-try successes."""
     stripped = []
     for jobs in (1, 2):
+        for sentinel in tmp_path.iterdir():
+            sentinel.unlink()  # each run's flaky cell fails once
+        cells = _cells(4) + [Cell("obs-e2e", ("flaky",), flaky_cell,
+                                  (str(tmp_path), "s", 42))]
         telemetry = RunTelemetry()
-        run_cells(_cells(4), jobs=jobs, telemetry=telemetry)
+        run_cells(cells, jobs=jobs, retries=1, telemetry=telemetry)
         rows = telemetry.rows()
+        assert rows[-1]["retries"] == 1
         for row in rows:
             row.pop("wall")
         stripped.append(rows)

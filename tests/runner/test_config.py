@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import Cell, ResultCache, RunConfig, run_cells
+from repro.runner import Cell, RunConfig, run_cells
 from repro.runner.config import coerce_run_config
 from repro.runner.resilience import RetryPolicy
 from repro.store import LocalFileStore
@@ -50,12 +50,18 @@ class TestRunConfig:
             RunConfig(cell_timeout=0)
 
     def test_queue_fields_validated(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="queue_workers"):
-            RunConfig(store=tmp_path, queue_workers=0)
         with pytest.raises(ConfigurationError, match="queue_lease"):
-            RunConfig(store=tmp_path, queue_workers=1, queue_lease=0.0)
-        with pytest.raises(ConfigurationError, match="requires a"):
-            RunConfig(queue_workers=2)  # no store to hand results through
+            RunConfig(store=tmp_path, jobs=2, queue_lease=0.0)
+        with pytest.raises(ConfigurationError, match="queue_renew"):
+            RunConfig(store=tmp_path, jobs=2, queue_renew_interval=-1.0)
+        with pytest.raises(ConfigurationError, match="store_retries"):
+            RunConfig(jobs=2, store_retries=-1)
+
+    def test_queue_workers_field_is_gone(self, tmp_path):
+        """``--jobs N`` with a store is the queue sweep; the separate
+        worker-count field was removed without a shim."""
+        with pytest.raises(TypeError, match="queue_workers"):
+            RunConfig(store=tmp_path, queue_workers=2)
 
 
 class TestCoerceRunConfig:
@@ -126,14 +132,3 @@ class TestRunnerEntryPoints:
                           run_config=RunConfig(jobs=1))
         assert modern == legacy
 
-
-class TestResultCacheShim:
-    def test_is_a_deprecated_local_store(self, tmp_path):
-        with pytest.warns(DeprecationWarning,
-                          match="use repro.store.LocalFileStore"):
-            cache = ResultCache(tmp_path)
-        assert isinstance(cache, LocalFileStore)
-        key = "0" * 64
-        cache.put(key, 1)
-        # A LocalFileStore on the same root reads the same entries.
-        assert LocalFileStore(tmp_path).get(key) == (True, 1)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, WorkerError
-from repro.runner import Cell, Progress, ResultCache, run_cells
+from repro.runner import Cell, Progress, run_cells
+from repro.store import LocalFileStore
 
 from .helpers import (
     kill_after_cached,
@@ -88,7 +89,7 @@ class TestResumeAfterInterrupt:
         cell and still produce the full ordered result."""
         sentinels = tmp_path / "s"
         sentinels.mkdir()
-        cache = ResultCache(tmp_path / "cache")
+        cache = LocalFileStore(tmp_path / "cache")
         good = [Cell("t", (i,), touch_and_return, (str(sentinels), f"c{i}", i))
                 for i in range(3)]
         killer = Cell("t", (3,), kill_after_cached,

@@ -10,6 +10,7 @@ runs.
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
@@ -23,14 +24,15 @@ from repro.runner import (
     FaultPlan,
     InjectedFaultError,
     Progress,
-    ResultCache,
     RetryPolicy,
+    RunConfig,
     cell_key,
     load_manifest,
     run_cells,
     write_manifest,
 )
 from repro.runner.faults import active_plan
+from repro.store import LocalFileStore, open_store
 
 from .helpers import (
     FlakyConfig,
@@ -113,7 +115,7 @@ class TestRetries:
 class TestKeepGoing:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_completes_around_failed_cell(self, tmp_path, jobs):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         cells = [
             Cell("t", (0,), square, (None, 3)),
             Cell("t", (1,), raise_value_error, ("broken",)),
@@ -150,8 +152,9 @@ class TestKeepGoing:
 
 
 class TestTimeouts:
-    def test_hung_cell_is_killed_and_failed(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    @pytest.mark.parametrize("backend", ["local", "sqlite"])
+    def test_hung_cell_is_killed_and_failed(self, tmp_path, backend):
+        cache = open_store(f"{backend}:{tmp_path / 'store'}")
         cells = [Cell("t", (0,), square, (None, 3)),
                  Cell("t", ("hang",), sleep_forever, ())]
         results = run_cells(cells, jobs=2, store=cache, cell_timeout=0.5,
@@ -165,7 +168,7 @@ class TestTimeouts:
 
     def test_timeout_raises_without_keep_going(self):
         cells = [Cell("t", ("hang",), sleep_forever, ())]
-        # cell_timeout forces pool execution even at jobs=1: an inline
+        # cell_timeout forces queue execution even at jobs=1: an inline
         # hung cell could never be killed.
         with pytest.raises(CellTimeoutError, match="cell-timeout"):
             run_cells(cells, jobs=1, cell_timeout=0.5, **FAST)
@@ -183,7 +186,7 @@ class TestPoolRecovery:
         """A cell that keeps killing its worker exhausts the loss budget
         instead of respawning forever.  The killer waits for its peers'
         cache entries, so it is the only cell in flight at each break."""
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         cells = square_cells(3) + [
             Cell("t", ("k",), kill_after_cached, (str(tmp_path), 3))]
         with pytest.raises(WorkerError, match="worker pool broke"):
@@ -192,7 +195,7 @@ class TestPoolRecovery:
         assert len(cache) == 3
 
     def test_repeat_killer_as_failed_cell_under_keep_going(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         cells = square_cells(2) + [
             Cell("t", ("k",), kill_after_cached, (str(tmp_path), 2))]
         results = run_cells(cells, jobs=2, store=cache, keep_going=True,
@@ -267,6 +270,20 @@ class TestFaultInjection:
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         assert run_cells(square_cells(3), jobs=2, **FAST) == [0, 1, 4]
 
+    @pytest.mark.timeout(20)
+    def test_injected_kill_recovers_promptly_with_a_store(
+            self, monkeypatch, tmp_path):
+        """The coordinator hands a dead worker's cell back at once: the
+        sweep recovers in seconds, not after the 60 s default lease."""
+        plan = FaultPlan((Fault(cell="squares[1]", kind="kill",
+                                attempts=(1,)),))
+        monkeypatch.setenv(FAULTS_ENV, plan.to_json())
+        start = time.monotonic()
+        assert run_cells(square_cells(3), RunConfig(
+            jobs=2, store=f"sqlite:{tmp_path / 'results.db'}",
+            **FAST)) == [0, 1, 4]
+        assert time.monotonic() - start < 20
+
     def test_injected_hang_recovers_via_timeout(self, monkeypatch):
         plan = FaultPlan((Fault(cell="squares[1]", kind="hang",
                                 seconds=30.0, attempts=(1,)),))
@@ -276,7 +293,7 @@ class TestFaultInjection:
 
     def test_injected_corruption_quarantines_and_recomputes(
             self, monkeypatch, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = LocalFileStore(tmp_path)
         cells = square_cells(2)
         assert run_cells(cells, store=cache) == [0, 1]
         plan = FaultPlan((Fault(cell="squares[0]", kind="corrupt"),))
@@ -355,7 +372,7 @@ class TestCliChaos:
                      "--cache-dir", str(chaos_dir)]) == 0
         capsys.readouterr()
         spec = get_experiment("fig3")
-        cache = ResultCache(chaos_dir)
+        cache = LocalFileStore(chaos_dir)
         cells = {c.label: c for c in spec.cells(spec.config("scaled"))}
         assert set(cells) == {"fig3[0.6]", "fig3[0.7]",
                               "fig3[0.8]", "fig3[0.9]"}

@@ -1,14 +1,11 @@
 """The runner's trace-reuse scope: one per sweep, in every execution mode."""
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-
 import pytest
 
 from repro import api
 from repro.runner import Cell, RunConfig, resilience, run_cells
 from repro.trace import spec
+from repro.trace.spec import get_profile
 from repro.trace.synthetic import StackDistanceGenerator
 
 from .helpers import synthesize, synthesize_then_fail
@@ -65,13 +62,12 @@ def test_back_to_back_sweeps_each_synthesize(generate_calls):
     assert len(generate_calls) == 2 * per_sweep
 
 
-def test_pool_workers_synthesize_each_trace_at_most_once(monkeypatch):
-    # Spawned workers inherit nothing from this process, so any reuse
-    # they show comes from the pool's own initializer.
-    spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(resilience, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=spawn))
-    results = run_cells(_cells(10, 3), RunConfig(jobs=2))
+def test_forked_workers_synthesize_each_trace_at_most_once():
+    # Forked workers inherit this process's scope and counts; any reuse
+    # they show comes from the fresh scope each one opens.
+    with spec.trace_reuse():
+        get_profile("mcf").trace(400, seed=0)  # a trace to inherit
+        results = run_cells(_cells(10, 3), RunConfig(jobs=2))
     by_pid = {}
     for pid, counts in results:
         by_pid.setdefault(pid, []).append(counts)

@@ -112,6 +112,65 @@ class TestClaimAckNack:
         assert queue.nack(item.item_id, "RuntimeError", "boom") is False
         assert queue.snapshot()[0].status == "failed"
 
+    def test_nack_keeps_history_and_the_last_exception(self, queue):
+        queue.publish(items_for(1, max_attempts=3))
+        queue.claim("w0", lease=60.0)
+        queue.nack(0, "ValueError", "boom 1", pickle.dumps(ValueError("1")))
+        queue.claim("w0", lease=60.0)
+        queue.nack(0, "KeyError", "boom 2", pickle.dumps(KeyError("2")))
+        state = queue.snapshot()[0]
+        assert state.errors == [(1, "ValueError", "boom 1"),
+                                (2, "KeyError", "boom 2")]
+        assert pickle.loads(state.exception).args == ("2",)
+        # Success keeps the history (the retries happened) but drops
+        # the exception with the rest of the error fields.
+        queue.claim("w0", lease=60.0)
+        queue.ack(0)
+        state = queue.snapshot()[0]
+        assert len(state.errors) == 2
+        assert state.exception == b"" and state.error_type == ""
+
+
+class TestRelease:
+    def test_release_requeues_as_a_new_attempt(self, queue):
+        """A known-dead holder's item is claimable at once, charged a
+        loss, and handed out as the next attempt; attempts spent on
+        releases do not eat the retry budget."""
+        queue.publish(items_for(1, max_attempts=2))  # loss budget 1
+        assert queue.claim("w0", lease=60.0).attempts == 0
+        assert queue.release(0, "w0", "WorkerError", "died") is True
+        state = queue.snapshot()[0]
+        assert (state.status, state.losses, state.attempts) == \
+            ("pending", 1, 1)
+        assert state.errors == []
+        item = queue.claim("w1", lease=60.0)
+        assert item is not None and item.attempts == 1
+        assert queue.nack(0, "ValueError", "boom") is True  # 1 of 2 failures
+
+    def test_release_past_the_loss_budget_fails_with_its_error(self, queue):
+        queue.publish(items_for(1, max_attempts=1))  # loss budget 1
+        queue.claim("w0", lease=60.0)
+        assert queue.release(0, "w0", "WorkerError", "died") is True
+        queue.claim("w1", lease=60.0)
+        blob = pickle.dumps(RuntimeError("died twice"))
+        assert queue.release(0, "w1", "WorkerError", "died twice",
+                             blob) is False
+        state = queue.snapshot()[0]
+        assert (state.status, state.losses, state.attempts) == \
+            ("failed", 2, 2)
+        assert (state.error_type, state.message) == \
+            ("WorkerError", "died twice")
+        assert state.exception == blob
+        assert queue.unfinished() == 0
+
+    def test_release_needs_the_current_holder(self, queue):
+        queue.publish(items_for(2))
+        queue.claim("w0", lease=60.0)
+        assert queue.release(0, "w1", "WorkerError", "x") is False
+        assert queue.release(1, "w0", "WorkerError", "x") is False  # pending
+        assert queue.snapshot()[0].status == "claimed"
+        assert queue.snapshot()[0].losses == 0
+
 
 class TestLeases:
     def test_live_lease_blocks_other_workers(self, queue):
@@ -126,6 +185,17 @@ class TestLeases:
         assert stolen is not None
         assert stolen.item_id == 0
         assert queue.snapshot()[0].losses == 1
+
+    def test_a_lost_lease_does_not_report_an_earlier_exception(self, queue):
+        queue.publish(items_for(1, max_attempts=2))  # loss budget 1
+        queue.claim("w0", lease=60.0)
+        queue.nack(0, "ValueError", "boom", pickle.dumps(ValueError("x")))
+        assert queue.claim("w1", lease=0.0) is not None
+        assert queue.claim("w2", lease=0.0) is not None   # loss 1
+        assert queue.claim("w3", lease=60.0) is None      # loss 2: over
+        state = queue.snapshot()[0]
+        assert state.error_type == LOST_ERROR_TYPE
+        assert state.exception == b""
 
     def test_loss_budget_exhaustion_fails_permanently(self, queue):
         queue.publish(items_for(1, max_attempts=1))  # loss budget 1

@@ -24,18 +24,18 @@ def baseline_stdout(tmp_path, capsys):
 
 class TestQueueDrivenSweep:
     def test_two_sqlite_workers_match_jobs_1(self, tmp_path, capsys):
-        """``--store sqlite: --queue-workers 2`` is byte-identical to a
+        """``--store sqlite: --jobs 2`` is byte-identical to a
         sequential local-cache run."""
         baseline = baseline_stdout(tmp_path, capsys)
         rc = main(["fig3", "--store", f"sqlite:{tmp_path}/results.db",
-                   "--queue-workers", "2"])
+                   "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
 
     def test_local_worker_matches_jobs_1(self, tmp_path, capsys):
         baseline = baseline_stdout(tmp_path, capsys)
         rc = main(["fig3", "--store", f"local:{tmp_path}/queue-store",
-                   "--queue-workers", "1"])
+                   "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
 
@@ -72,8 +72,8 @@ class TestQueueDrivenSweep:
 
         # Full rerun: the 2 finished cells are store hits, so only the
         # remaining 2 are re-published (a smaller sweep fingerprint
-        # resets the stale queue) and executed by the spawned worker.
-        rc = main(["fig3", "--store", store.url, "--queue-workers", "1"])
+        # resets the stale queue) and executed by the forked workers.
+        rc = main(["fig3", "--store", store.url, "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
         assert len(store) == len(cells)
