@@ -89,15 +89,15 @@ scenario-smoke:
 	test -n "$$(ls scenario-run/obs/scenarios/lifecycle/*.jsonl)"
 
 # Local mirror of the CI store-chaos job: a fig3 --jobs 2 queue run
-# under injected store faults (lock contention, claim latency) plus a
-# cell slower than its lease must print exactly the bytes a fault-free
-# --jobs 1 run prints; the heartbeat keeps steals at zero.
+# under one fault plan — injected store faults (lock contention, claim
+# latency) plus a cell slower than its lease — must print exactly the
+# bytes a fault-free --jobs 1 run prints; the heartbeat keeps steals at
+# zero.
 chaos-smoke:
 	rm -rf chaos-run && mkdir -p chaos-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
 		--cache-dir chaos-run/baseline > chaos-run/baseline.out
-	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}]}' \
-	REPRO_STORE_FAULTS='{"faults": [{"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "hang", "seconds": 2.0}, {"op": "*", "kind": "busy", "every": 3}, {"op": "claim", "kind": "latency", "seconds": 0.01}]}' \
 	$(PY) -m repro.experiments fig3 --store sqlite:chaos-run/results.db \
 		--jobs 2 --queue-lease 0.5 > chaos-run/chaos.out
 	cmp chaos-run/baseline.out chaos-run/chaos.out
@@ -109,7 +109,9 @@ chaos-smoke:
 # into one complete span tree, project to a canonical form that is
 # byte-identical whatever the worker count (2 against 4: scaled fig3
 # has 4 cells, so both fleets are fully occupied), and pass the live
-# aggregator's alert gate (steals/failures/stragglers all zero).
+# aggregator's alert gate (steals/failures/stragglers all zero).  A
+# third fleet run loses a worker to a `kill` fault: its output still
+# matches and its trace is still complete.
 trace-smoke:
 	rm -rf trace-run && mkdir -p trace-run
 	$(PY) -m repro.experiments fig3 --jobs 1 \
@@ -137,6 +139,12 @@ trace-smoke:
 		> trace-run/report.json
 	$(PY) -m repro.store status --store sqlite:trace-run/results.db --json \
 		> trace-run/queue.json
+	REPRO_FAULTS='{"faults": [{"cell": "fig3[0.6]", "kind": "kill", "attempts": [1]}]}' \
+	$(PY) -m repro.experiments fig3 \
+		--store sqlite:trace-run/kill.db --jobs 2 \
+		--trace --telemetry=trace-run/obs-kill > trace-run/kill.out
+	cmp trace-run/baseline.out trace-run/kill.out
+	$(PY) -m repro.obs trace --check trace-run/obs-kill/fig3
 
 figures:
 	python -m repro.experiments all

@@ -94,9 +94,12 @@ def run_once(benchmark, fn, *args, **kwargs):
     jobs, cache = bench_jobs(), bench_cache()
     spec = _spec_for(fn, args) if (jobs > 1 or cache is not None) else None
     if spec is not None and not kwargs:
+        from repro.runner import RunConfig
+
         config = args[0]
         return benchmark.pedantic(
-            lambda: spec.run(config, jobs=jobs, store=cache),
+            lambda: spec.run(config,
+                             run_config=RunConfig(jobs=jobs, store=cache)),
             rounds=1, iterations=1, warmup_rounds=0)
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)

@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bump whenever the FileIndex layout changes: stale caches are
 #: discarded wholesale instead of misread.
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 #: ``# reprolint: key=value key2 ...`` annotation comments (``disable=``
 #: belongs to the suppression parser in :mod:`.core`, not here).
@@ -166,8 +166,6 @@ class FileIndex:
     functions: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: argparse ``add_argument`` flags: {"flag", "dest", "line"}.
     argparse_flags: List[Dict[str, Any]] = field(default_factory=list)
-    #: module-level ``NAME = {...}`` dicts with constant string keys.
-    dict_consts: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: ``@register_backend`` classes: {"class", "line", "scheme"}.
     registered_backends: List[Dict[str, Any]] = field(default_factory=list)
     #: watched names (``STORE_BACKENDS``) referenced anywhere in the file.
@@ -182,7 +180,6 @@ class FileIndex:
             "annotations": {str(k): v for k, v in self.annotations.items()},
             "classes": self.classes, "functions": self.functions,
             "argparse_flags": self.argparse_flags,
-            "dict_consts": self.dict_consts,
             "registered_backends": self.registered_backends,
             "references": self.references,
         }
@@ -201,7 +198,6 @@ class FileIndex:
             classes=dict(doc.get("classes", {})),
             functions=dict(doc.get("functions", {})),
             argparse_flags=list(doc.get("argparse_flags", [])),
-            dict_consts=dict(doc.get("dict_consts", {})),
             registered_backends=list(doc.get("registered_backends", [])),
             references=list(doc.get("references", [])),
         )
@@ -532,23 +528,7 @@ class _ClassIndexer(ast.NodeVisitor):
 
 def _index_module_level(tree: ast.Module, aliases: Mapping[str, str],
                         idx: FileIndex) -> None:
-    """Module-level facts: const dicts, argparse flags, watched refs."""
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict):
-            for target in stmt.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                entries: Dict[str, Any] = {}
-                ok = True
-                for key, value in zip(stmt.value.keys, stmt.value.values):
-                    key_s = _const_str(key) if key is not None else None
-                    if key_s is None:
-                        ok = False
-                        break
-                    entries[key_s] = _const_str(value)
-                if ok:
-                    idx.dict_consts[target.id] = {
-                        "line": stmt.lineno, "entries": entries}
+    """Module-level facts: argparse flags, watched refs."""
     refs: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in _WATCHED_NAMES:

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Type
 
 from ..errors import ConfigurationError, SweepError
 from ..runner import Cell, FailedCell, RunConfig, run_cells
-from ..runner.config import coerce_run_config
 
 __all__ = [
     "ExperimentSpec",
@@ -85,8 +84,7 @@ class ExperimentSpec:
         return ctor()
 
     def run(self, config: Any = None, *,
-            run_config: Optional[RunConfig] = None,
-            **legacy: Any) -> Any:
+            run_config: Optional[RunConfig] = None) -> Any:
         """Run the full sweep and reduce it to the result object.
 
         ``config`` is the *experiment* config (what to compute);
@@ -94,11 +92,7 @@ class ExperimentSpec:
         *how* to execute it — parallelism, store, retries, timeouts,
         queue-driven workers, telemetry.  With the defaults
         (``jobs=1``, no store, no retries) this is exactly the legacy
-        sequential ``run_figN(config)`` behavior.  The historical
-        keyword style (``spec.run(cfg, jobs=4)``) still works through
-        a deprecation shim emitting a single
-        :class:`DeprecationWarning`; the removed ``cache=`` alias of
-        ``store`` is an error.
+        sequential ``run_figN(config)`` behavior.
 
         Under ``keep_going`` a sweep that finishes with permanently
         failed cells raises :class:`~repro.errors.SweepError` instead
@@ -107,8 +101,8 @@ class ExperimentSpec:
         partial result list, so callers that tolerate holes can still
         reduce over ``err.results`` themselves.
         """
-        run_config = coerce_run_config(run_config, legacy,
-                                       where="ExperimentSpec.run")
+        if run_config is None:
+            run_config = RunConfig()
         if config is None:
             config = self.config("scaled")
         results = run_cells(self.cells(config), run_config)

@@ -14,7 +14,7 @@ under its ``"wall"`` sub-object and nowhere else.  Stripping ``"wall"``
 from each row leaves content that is byte-identical across repeated
 identical runs (attempt counts and error types included, provided
 failures themselves are deterministic, e.g. under a
-:mod:`repro.runner.faults` plan).  Rows are emitted in cell order, not
+:mod:`repro.store.faults` plan).  Rows are emitted in cell order, not
 completion order, for the same reason.  Content-addressed cache keys
 and figure outputs never see any of this.
 """
@@ -121,6 +121,10 @@ class RunTelemetry:
         #: ``(index, error_type, attempts)`` of cells that died without
         #: a worker-side terminal span (lease exhausted, fleet aborted).
         self._trace_lost: List[Tuple[int, str, int]] = []
+        #: ``(index, attempt, error_type, outcome, wall)`` of attempts
+        #: whose worker the coordinator killed or found dead.
+        self._trace_abandoned: List[
+            Tuple[int, int, str, Optional[str], float]] = []
 
     # -- lifecycle hooks (called by repro.runner) ----------------------------
     def begin(self, cells: Sequence["Cell"], keys: Sequence[str]) -> None:
@@ -136,6 +140,7 @@ class RunTelemetry:
             self.trace_id = trace_id_for(list(keys))
             self._trace_wall0 = wall_now()
             self._trace_lost = []
+            self._trace_abandoned = []
             os.environ[TRACE_ID_ENV] = self.trace_id
         self.spans = [
             CellSpan(i, cell.label, cell.experiment, keys[i])
@@ -296,6 +301,22 @@ class RunTelemetry:
         if self.trace_id:
             self._trace_lost.append((index, error_type, attempts))
 
+    def trace_abandoned(self, index: int, attempt: int, error_type: str,
+                        outcome: Optional[str]) -> None:
+        """Close an attempt whose worker died inside its ``execute`` span.
+
+        A worker the coordinator killed (``cell_timeout``) or found dead
+        never writes the end of that span, nor its ``nack``.  The
+        coordinator writes both: an ``execute`` ending in
+        ``error_type`` and a ``nack`` whose ``outcome`` event is
+        ``retry_scheduled`` or ``attempts_exhausted``.  ``outcome=None``
+        writes no ``nack``: the attempt was the cell's last, and its
+        terminal is the :meth:`trace_lost` span.
+        """
+        if self.trace_id:
+            self._trace_abandoned.append(
+                (index, attempt, error_type, outcome, wall_now()))
+
     def write_trace(self) -> Optional[Path]:
         """Write the coordinator's trace file (root sweep + cell spans).
 
@@ -351,6 +372,24 @@ class RunTelemetry:
                 "wall": {"start": None, "end": at(span.finished_s),
                          "worker": "coordinator"},
             })
+        for index, attempt, error_type, outcome, end in \
+                self._trace_abandoned:
+            span = self._by_index[index]
+            claim = span_id(tid, "claim", span.key, attempt)
+            error = {"name": "error", "det": True, "error": error_type}
+            ends = [("execute", [error])]
+            if outcome is not None:
+                ends.append(("nack", [error, {"name": outcome, "det": True}]))
+            for kind, events in ends:
+                rows.append({
+                    "trace": tid,
+                    "span": span_id(tid, kind, span.key, attempt),
+                    "parent": claim, "kind": kind, "name": span.cell,
+                    "key": span.key, "attempt": attempt, "status": "error",
+                    "events": events,
+                    "wall": {"start": None, "end": end,
+                             "worker": "coordinator"},
+                })
         writer = TraceWriter(self.trace_dir / "coordinator.jsonl")
         for row in rows:
             writer.write(row)

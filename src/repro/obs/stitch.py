@@ -2,7 +2,8 @@
 
 A traced sweep scatters its spans across processes — the coordinator
 writes ``coordinator.jsonl`` (root ``sweep`` span, one ``cell`` span
-per cell, ``lost`` terminals), every worker writes its own file
+per cell, ``lost`` terminals, and the ``execute`` / ``nack`` ends of
+attempts whose worker died mid-cell), every worker writes its own file
 (``claim`` / ``execute`` / ``ack`` / ``nack`` spans).  Because span IDs
 are pure functions of (trace, kind, key, attempt) — see
 :mod:`repro.obs.trace` — this module can rebuild the tree from *any*
@@ -214,9 +215,9 @@ def completeness(tree: Dict[str, Any]) -> List[str]:
       failed) — and never more than one ``ack``;
     * every claim has its ``execute`` (the attempt actually ran).
 
-    Pool/inline cells (``execute`` children, no claims) only require an
-    execute for a non-cached cell — acks and nacks are queue-protocol
-    spans and do not exist in that mode.
+    Inline cells (``jobs == 1``: ``execute`` children, no claims) only
+    require an execute for a non-cached cell — acks and nacks are
+    queue-protocol spans and do not exist in that mode.
     """
     problems: List[str] = []
     spans = tree["spans"]
@@ -244,7 +245,7 @@ def completeness(tree: Dict[str, Any]) -> List[str]:
                 problems.append(f"{label}: cached cell has child spans")
             continue
         if not claims:
-            # Pool/inline mode: the execute hangs off the cell directly.
+            # Inline mode: the execute hangs off the cell directly.
             executes = [k for k in kids if k["kind"] == "execute"]
             if not executes and cell["status"] in ("ok", "failed"):
                 problems.append(f"{label}: no execute span recorded")

@@ -17,8 +17,9 @@ cells retry with capped deterministic backoff, hung cells are killed by
 per-cell timeouts, a dead worker is replaced and only its cell is
 handed out again, and ``keep_going`` sweeps complete with
 :class:`FailedCell` sentinels plus a JSON failure manifest instead of
-aborting.  A deterministic fault-injection harness
-(:mod:`repro.runner.faults`) makes all of it testable.
+aborting.  The deterministic fault-injection harness in
+:mod:`repro.store.faults` (one ``$REPRO_FAULTS`` plan aimed at cells and
+store operations) makes all of it testable.
 """
 
 from .cache import (
@@ -30,7 +31,6 @@ from .cache import (
 )
 from .cells import Cell
 from .config import RunConfig
-from .faults import FAULTS_ENV, Fault, FaultPlan, InjectedFaultError
 from .pool import default_jobs, run_cells
 from .progress import Progress
 from .resilience import (
@@ -43,11 +43,7 @@ from .resilience import (
 __all__ = [
     "Cell",
     "CacheCorruptionWarning",
-    "FAULTS_ENV",
     "FailedCell",
-    "Fault",
-    "FaultPlan",
-    "InjectedFaultError",
     "Progress",
     "RetryPolicy",
     "RunConfig",

@@ -12,20 +12,13 @@ knobs all travel together as one validated, immutable value::
     cfg = RunConfig(jobs=4, store="sqlite:results.db",
                     retries=2, keep_going=True)
     results = run_cells(cells, cfg)
-
-The legacy keyword style (``run_cells(cells, jobs=4)``) still works
-through :func:`coerce_run_config`, which emits a single
-:class:`DeprecationWarning` per call; the removed ``cache=`` alias of
-the ``store`` field is now an error.  New code should construct a
-:class:`RunConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import ConfigurationError
 from ..store import ExperimentStore, StoreSpec, resolve_store
@@ -35,7 +28,7 @@ from .resilience import RetryPolicy
 if TYPE_CHECKING:
     from ..obs.spans import RunTelemetry
 
-__all__ = ["RunConfig", "coerce_run_config"]
+__all__ = ["RunConfig"]
 
 
 @dataclass(frozen=True)
@@ -148,48 +141,3 @@ class RunConfig:
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
-
-
-#: Removed legacy keyword names and their modern replacements; passing
-#: one is an error naming the field to use instead.
-_REMOVED_ALIASES: Dict[str, str] = {"cache": "store"}
-
-_LEGACY_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
-
-
-def coerce_run_config(config: Optional[RunConfig],
-                      legacy: Dict[str, Any], *, where: str,
-                      stacklevel: int = 3) -> RunConfig:
-    """Fold legacy keyword arguments into a :class:`RunConfig`.
-
-    The shim behind every runner entry point: ``config`` (the new
-    style) passes through untouched; a non-empty ``legacy`` dict (the
-    old ``jobs=...`` style) emits **one** :class:`DeprecationWarning`
-    and is mapped onto a fresh :class:`RunConfig`.  Mixing both styles,
-    passing a keyword that was never a runner knob, or using the
-    removed ``cache=`` alias is an error.
-    """
-    if config is not None:
-        if legacy:
-            raise ConfigurationError(
-                f"{where}: pass either a RunConfig or legacy keyword "
-                f"arguments, not both (got {sorted(legacy)})")
-        return config
-    if not legacy:
-        return RunConfig()
-    removed = sorted(set(legacy) & set(_REMOVED_ALIASES))
-    if removed:
-        replacements = ", ".join(
-            f"{name}= was renamed to {_REMOVED_ALIASES[name]}="
-            for name in removed)
-        raise TypeError(
-            f"{where}(): {replacements}; pass a RunConfig")
-    unknown = sorted(set(legacy) - _LEGACY_FIELDS)
-    if unknown:
-        raise TypeError(
-            f"{where}() got unexpected keyword argument(s) {unknown}")
-    warnings.warn(
-        f"{where}: keyword arguments {sorted(legacy)} are deprecated; "
-        f"pass a RunConfig",
-        DeprecationWarning, stacklevel=stacklevel)
-    return RunConfig(**legacy)

@@ -11,9 +11,7 @@ step therefore sees the exact sequence a sequential run would have
 produced, making parallel output byte-identical to sequential output.
 
 Execution is configured by a :class:`~repro.runner.RunConfig`
-(``run_cells(cells, RunConfig(jobs=4, store="sqlite:results.db"))``);
-the historical keyword style still works behind a deprecation shim
-(:func:`repro.runner.config.coerce_run_config`).
+(``run_cells(cells, RunConfig(jobs=4, store="sqlite:results.db"))``).
 
 Determinism: before executing a cell, the runner reseeds the global
 ``random`` and ``numpy.random`` generators from the cell's
@@ -24,7 +22,7 @@ reaches for global randomness still cannot diverge between ``--jobs 1``,
 
 Fault tolerance (``retries`` / ``cell_timeout`` / ``keep_going``)
 follows :class:`~repro.runner.resilience.RetryPolicy`; deterministic
-fault injection for testing it lives in :mod:`repro.runner.faults`.
+fault injection for testing it lives in :mod:`repro.store.faults`.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError, WorkerError
 from ..store import ExperimentStore
+from ..store.faults import active_plan, corrupt_entries, inject
 from ..trace.spec import reuse_counts, trace_reuse
 from .cache import cell_key
 from .cells import Cell
-from .config import RunConfig, coerce_run_config
-from .faults import active_plan, corrupt_cache_entries, inject
+from .config import RunConfig
 from .progress import Progress
 from .resilience import FailedCell, RetryPolicy
 
@@ -183,18 +181,15 @@ def _run_inline(cells: Sequence[Cell], keys: Sequence[str],
 # cells share it directly, queue workers open one per drain
 # (worker.work_loop).
 @trace_reuse()
-def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
-              **legacy: Any) -> List[Any]:
+def run_cells(cells: Sequence[Cell],
+              config: Optional[RunConfig] = None) -> List[Any]:
     """Execute ``cells`` per ``config`` and return results in cell order.
 
     ``config`` is a :class:`~repro.runner.RunConfig` — parallelism
     (``jobs``), the experiment store, the
     resilience policy (``retries`` / ``cell_timeout`` / ``keep_going``)
     and the progress/telemetry sinks in one value; see its docstring
-    for every field.  The legacy keyword style
-    (``run_cells(cells, jobs=4, store=...)``) still works and emits a
-    single :class:`DeprecationWarning` per call; the removed ``cache=``
-    alias of ``store`` is an error.
+    for every field (``None`` means the defaults: inline, no store).
 
     Execution modes (byte-identical in output):
 
@@ -215,7 +210,7 @@ def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
     propagates unwrapped and any other permanent failure raises
     :class:`~repro.errors.WorkerError` listing *every* failed cell.
     """
-    cfg = coerce_run_config(config, legacy, where="repro.runner.run_cells")
+    cfg = config if config is not None else RunConfig()
     jobs = cfg.jobs or default_jobs()
     if jobs < 1:
         jobs = default_jobs()
@@ -237,7 +232,7 @@ def run_cells(cells: Sequence[Cell], config: Optional[RunConfig] = None,
 
     plan = active_plan()
     if plan is not None and store is not None and not cfg.force:
-        corrupt_cache_entries(plan, cells, keys, store)
+        corrupt_entries(plan, [cell.label for cell in cells], keys, store)
 
     pending: List[int] = []
     for i, cell in enumerate(cells):

@@ -83,10 +83,11 @@ def _wrap_store(store: ExperimentStore, store_retries: int,
                 on_retry: Optional[RetryObserver] = None) -> ExperimentStore:
     """The standard resilience stack around a freshly opened store.
 
-    Fault injection (when ``$REPRO_STORE_FAULTS`` is set) goes innermost
-    so the retry layer sees — and absorbs — the injected transients,
-    exactly as it would absorb real ones.  ``on_retry`` observes each
-    absorbed transient (tracing hangs ``store_retry`` events off it).
+    Fault injection (when the ``$REPRO_FAULTS`` plan has op entries)
+    goes innermost so the retry layer sees — and absorbs — the injected
+    transients, exactly as it would absorb real ones.  ``on_retry``
+    observes each absorbed transient (tracing hangs ``store_retry``
+    events off it).
     """
     return RetryingStore(maybe_faulty_store(store),
                          StoreRetryPolicy(retries=store_retries),
@@ -579,7 +580,13 @@ def run_queued(cells: Sequence[Cell], keys: Sequence[str],
                 exc = CellTimeoutError(
                     f"cell {cells[i].label} exceeded its cell-timeout of "
                     f"{timeout:g}s on attempt {state.attempts + 1}")
-                queue.nack(i, type(exc).__name__, str(exc), _pickled(exc))
+                retry = queue.nack(i, type(exc).__name__, str(exc),
+                                   _pickled(exc))
+                if telemetry is not None:
+                    telemetry.trace_abandoned(
+                        i, state.attempts + 1, type(exc).__name__,
+                        "retry_scheduled" if retry
+                        else "attempts_exhausted")
 
     def release(dead: Sequence[str]) -> None:
         """Hand back at once every item a dead worker held."""
@@ -589,8 +596,14 @@ def run_queued(cells: Sequence[Cell], keys: Sequence[str],
                     f"worker pool broke {policy.loss_budget + 1} times "
                     f"while cell {cells[i].label} was in flight (worker "
                     f"killed or died?)")
-                queue.release(i, state.worker, "WorkerError", str(exc),
-                              _pickled(exc))
+                retry = queue.release(i, state.worker, "WorkerError",
+                                      str(exc), _pickled(exc))
+                if telemetry is not None:
+                    # Past the loss budget, fold() writes the ``lost``
+                    # terminal; otherwise the next attempt follows a nack.
+                    telemetry.trace_abandoned(
+                        i, state.attempts + 1, "WorkerError",
+                        "retry_scheduled" if retry else None)
 
     permanent_exits = 0
     try:

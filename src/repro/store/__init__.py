@@ -16,8 +16,10 @@ Public surface:
 * :mod:`repro.store.retry` — transient-vs-permanent error
   classification and :class:`RetryingStore` / :class:`RetryingQueue`
   bounded-backoff wrappers.
-* :mod:`repro.store.faults` — the ``REPRO_STORE_FAULTS`` deterministic
-  fault-injection harness (:func:`maybe_faulty_store`).
+* :mod:`repro.store.faults` — the deterministic fault-injection
+  harness: one ``$REPRO_FAULTS`` plan whose entries target cells
+  (raise, hang, kill, corrupt) or store/queue operations (busy,
+  oserror, latency, torn, fatal).
 * ``python -m repro.store status --store URL`` — queue/lease status CLI
   (:mod:`repro.store.__main__`).
 
@@ -41,14 +43,6 @@ from .base import (
     register_backend,
     resolve_store,
 )
-from .faults import (
-    STORE_FAULTS_ENV,
-    FaultyStore,
-    StoreFault,
-    StoreFaultPlan,
-    active_store_plan,
-    maybe_faulty_store,
-)
 from .local import LocalFileStore
 from .queue import ItemState, QueueItem, WorkQueue, WorkQueueProxy
 from .retry import (
@@ -62,12 +56,10 @@ from .sqlite import SQLiteStore
 
 __all__ = [
     "STORE_BACKENDS",
-    "STORE_FAULTS_ENV",
     "STORE_FORMAT_VERSION",
     "STORE_MAGIC",
     "CacheCorruptionWarning",
     "ExperimentStore",
-    "FaultyStore",
     "ItemState",
     "LocalFileStore",
     "PurgeResult",
@@ -75,20 +67,16 @@ __all__ = [
     "RetryingQueue",
     "RetryingStore",
     "SQLiteStore",
-    "StoreFault",
-    "StoreFaultPlan",
     "StoreProxy",
     "StoreRetryPolicy",
     "StoreSpec",
     "StoreStats",
     "WorkQueue",
     "WorkQueueProxy",
-    "active_store_plan",
     "call_with_retries",
     "decode_entry",
     "encode_entry",
     "is_transient_store_error",
-    "maybe_faulty_store",
     "open_store",
     "register_backend",
     "resolve_store",

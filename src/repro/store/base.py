@@ -267,7 +267,7 @@ class ExperimentStore(ABC):
     def write_raw(self, key: str, blob: bytes) -> None:
         """Write raw bytes under ``key``, bypassing entry encoding.
 
-        Test and fault-injection hook (:mod:`repro.runner.faults` uses
+        Test and fault-injection hook (:mod:`repro.store.faults` uses
         it to plant corrupt entries); normal code wants :meth:`put`.
         """
         self._write(key, blob)

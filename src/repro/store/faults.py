@@ -1,53 +1,70 @@
-"""Deterministic fault injection for the store/queue layer.
+"""Deterministic fault injection: one plan for cells and the store.
 
-The storage counterpart of :mod:`repro.runner.faults`: none of the
-fleet's storage resilience — transient-error retries
-(:mod:`repro.store.retry`), lease renewal under latency, torn-write
-quarantine, the coordinator's permanent-error handling — is testable
-without a disk that misbehaves on command.  A :class:`StoreFaultPlan`
-wraps any :class:`~repro.store.ExperimentStore` /
-:class:`~repro.store.queue.WorkQueue` pair and injects failures on a
-*deterministic schedule*: each fault counts the operations it matches
-and fires on every ``every``-th one (capped by ``times``), or on a
-seeded pseudo-random ``rate`` — never on wall-clock state, so a chaos
-run's final stdout stays byte-identical to a fault-free run.
+None of the runner's fault tolerance (retries, timeouts, worker
+recovery, quarantine — :mod:`repro.runner.resilience`) and none of the
+fleet's storage resilience (transient-error retries in
+:mod:`repro.store.retry`, lease renewal under latency, torn-write
+quarantine, the coordinator's permanent-error handling) is testable
+without failures on command.  A :class:`FaultPlan` injects them on a
+*deterministic schedule* — never on wall-clock state — so a plan plus a
+retry budget either always recovers or always fails, and a chaos run's
+final stdout stays byte-identical to a fault-free run.
 
-The plan travels through :data:`REPRO_STORE_FAULTS <STORE_FAULTS_ENV>`
-(inline JSON, or ``@/path/to/plan.json``), which worker processes
-inherit — each process wraps its own store on startup and replays the
-same schedule.
+The plan travels through :data:`REPRO_FAULTS <FAULTS_ENV>` (inline
+JSON, or ``@/path/to/plan.json``), which worker processes inherit, so
+faults trigger identically whether a cell runs inline or in a queue
+worker.  One document holds two kinds of entry.
 
-Fault kinds (raised exceptions are the *real* production types, so the
-classification in :mod:`repro.store.retry` is exercised, not mocked):
+**Cell-targeted** entries (``cell``: an exact ``Cell.label``) fire on
+the listed 1-based ``attempts``:
+
+``raise``
+    Raise :class:`InjectedFaultError` in the executing process before
+    the cell body runs (a transient cell exception).
+``hang``
+    Sleep ``seconds`` (default 30) before the cell body runs (pair with
+    the runner's ``cell_timeout`` to exercise hung-cell recovery).
+``kill``
+    ``SIGKILL`` the executing process (a dead worker; inline it kills
+    the parent, exactly as a real crash would).
+``corrupt``
+    Parent-side, before store hits are resolved: overwrite the cell's
+    *existing* store entry with garbage bytes, exercising the
+    checksum/quarantine path.  Ignores ``attempts``.
+
+**Op-targeted** entries (``op``: one of :data:`FAULT_OPS`, ``*`` for
+any) wrap the store and its work queues (:func:`maybe_faulty_store`).
+Each counts the operations it matches and fires on every ``every``-th
+one (capped by ``times``), or on a seeded pseudo-random ``rate``.
+Every process replays the same schedule with its own counters.  The
+raised exceptions are the *real* production types, so the
+classification in :mod:`repro.store.retry` is exercised, not mocked:
 
 ``busy``
-    Raise ``sqlite3.OperationalError('database is locked [injected]')``
-    — the transient contention error any concurrent SQLite writer can
-    see.
+    ``sqlite3.OperationalError('database is locked [...]')`` — the
+    transient contention error any concurrent SQLite writer can see.
 ``oserror``
-    Raise ``OSError(EAGAIN)`` — a momentarily overloaded disk.
+    ``OSError(EAGAIN)`` — a momentarily overloaded disk.
 ``latency``
-    Sleep ``seconds`` before the operation proceeds (a slow disk; pair
-    with a short ``--queue-lease`` to exercise heartbeat renewal).
+    Sleep ``seconds`` (default 0.05) before the operation proceeds (a
+    slow disk; pair with a short ``--queue-lease`` to exercise
+    heartbeat renewal).
 ``torn``
     On ``put`` only: write a *truncated* entry (the prefix of the real
     checksummed blob), then raise ``OSError(EIO)`` — a crash mid-write.
-    The retry layer rewrites the entry; an unretried torn write is
-    caught later by the checksum/quarantine path.
 ``fatal``
-    Raise ``sqlite3.DatabaseError('database disk image is malformed
-    [injected]')`` — a *permanent* error; workers must exit with
+    ``sqlite3.DatabaseError('database disk image is malformed [...]')``
+    — a *permanent* error; workers exit with
     :data:`repro.runner.worker.EXIT_STORE_PERMANENT`.
 
 Plan JSON::
 
     {"faults": [
+        {"cell": "fig3[0.6]", "kind": "raise", "attempts": [1]},
+        {"cell": "fig3[0.8]", "kind": "corrupt"},
         {"op": "put", "kind": "busy", "every": 3, "times": 2},
-        {"op": "claim", "kind": "latency", "seconds": 0.05, "every": 2},
         {"op": "get", "kind": "oserror", "rate": 0.2, "seed": 7}
     ]}
-
-``op`` is one of :data:`STORE_FAULT_OPS` (``*`` matches any).
 """
 
 from __future__ import annotations
@@ -56,6 +73,7 @@ import errno
 import json
 import os
 import random
+import signal
 import sqlite3
 import time
 from dataclasses import dataclass
@@ -67,87 +85,122 @@ from .base import ExperimentStore, StoreProxy, encode_entry
 from .queue import ItemState, QueueItem, WorkQueue, WorkQueueProxy
 
 __all__ = [
-    "STORE_FAULTS_ENV",
-    "STORE_FAULT_KINDS",
-    "STORE_FAULT_OPS",
+    "CELL_FAULT_KINDS",
+    "FAULTS_ENV",
+    "FAULT_OPS",
+    "OP_FAULT_KINDS",
+    "Fault",
     "FaultInjector",
+    "FaultPlan",
     "FaultyQueue",
     "FaultyStore",
-    "StoreFault",
-    "StoreFaultPlan",
-    "active_store_plan",
+    "InjectedFaultError",
+    "active_plan",
+    "corrupt_entries",
+    "inject",
     "maybe_faulty_store",
 ]
 
 #: Environment variable carrying the active plan (inline JSON or ``@path``).
-STORE_FAULTS_ENV = "REPRO_STORE_FAULTS"
+FAULTS_ENV = "REPRO_FAULTS"
 
-#: Recognized fault kinds.
-STORE_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
+#: The retired store-only plan variable; setting it is an error.
+_RETIRED_ENV = "REPRO_STORE_FAULTS"
 
-#: Interceptable operations; ``*`` matches all of them.
-STORE_FAULT_OPS = ("get", "put", "quarantine", "claim", "ack", "nack",
-                   "release", "renew", "publish", "snapshot", "*")
+#: Kinds of cell-targeted and op-targeted entries.
+CELL_FAULT_KINDS = ("raise", "hang", "kill", "corrupt")
+OP_FAULT_KINDS = ("busy", "oserror", "latency", "torn", "fatal")
 
-_PLAN_FIELDS = frozenset(
-    {"op", "kind", "every", "times", "seconds", "rate", "seed", "message"})
+#: Interceptable store/queue operations; ``*`` matches all of them.
+FAULT_OPS = ("get", "put", "quarantine", "claim", "ack", "nack",
+             "release", "renew", "publish", "snapshot", "*")
+
+#: Per target (``cell`` or ``op``): the name errors use, the kinds,
+#: the allowed fields, and the ``seconds`` / ``message`` defaults.
+_WHAT = {"cell": "cell-fault", "op": "store-fault"}
+_KINDS = {"cell": CELL_FAULT_KINDS, "op": OP_FAULT_KINDS}
+_FIELDS = {
+    "cell": frozenset({"cell", "kind", "attempts", "seconds", "message"}),
+    "op": frozenset({"op", "kind", "every", "times", "rate", "seed",
+                     "seconds", "message"}),
+}
+_DEFAULTS = {"cell": (30.0, "injected fault"),
+             "op": (0.05, "injected store fault")}
+
+#: What a ``corrupt`` fault writes over a store entry (fails the
+#: checksum check by construction: no valid header).
+_CORRUPT_BYTES = b"\x00injected corruption (repro.store.faults)\x00"
+
+
+class InjectedFaultError(RuntimeError):
+    """Raised by a ``raise`` fault.
+
+    Deliberately *not* a :class:`~repro.errors.ReproError`: injected
+    exceptions exercise the foreign-exception wrapping path, the one a
+    genuine infrastructure failure would take.
+    """
 
 
 @dataclass(frozen=True)
-class StoreFault:
-    """One injected storage failure on a deterministic schedule.
+class Fault:
+    """One injected failure, aimed at a cell *or* a store operation.
 
-    Parameters
-    ----------
-    op:
-        Which store/queue operation to intercept (:data:`STORE_FAULT_OPS`).
-    kind:
-        One of :data:`STORE_FAULT_KINDS`.
-    every:
-        Fire on every ``every``-th matching operation (1 = every call).
-        Mutually exclusive with ``rate``.
-    times:
-        Stop firing after this many injections (``None`` = unlimited).
-    seconds:
-        Sleep duration for ``latency`` faults.
-    rate:
-        Fire with this seeded pseudo-random probability per matching
-        operation instead of the modular ``every`` schedule.
-    seed:
-        Seed of the fault's private RNG (``rate`` mode only) — the
-        schedule is a pure function of (seed, call sequence).
-    message:
-        Text carried inside the injected exception.
+    Exactly one of ``cell`` (a ``Cell.label``) and ``op`` (one of
+    :data:`FAULT_OPS`) is set; ``kind`` comes from the matching
+    :data:`CELL_FAULT_KINDS` or :data:`OP_FAULT_KINDS`.  Cell faults
+    fire on the 1-based ``attempts``; op faults on every ``every``-th
+    matching operation, at most ``times`` times, or with seeded
+    probability ``rate``.  ``seconds`` is the sleep of a ``hang``
+    (default 30) or ``latency`` (default 0.05); ``message`` is carried
+    by the injected exception.
     """
 
-    op: str
     kind: str
+    cell: Optional[str] = None
+    op: Optional[str] = None
+    attempts: Tuple[int, ...] = (1,)
     every: int = 1
     times: Optional[int] = None
-    seconds: float = 0.05
     rate: Optional[float] = None
     seed: int = 0
-    message: str = "injected store fault"
+    seconds: Optional[float] = None
+    message: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.op not in STORE_FAULT_OPS:
+        if (self.cell is None) == (self.op is None):
+            raise ConfigurationError(
+                f"a fault targets exactly one of 'cell' or 'op', got "
+                f"cell={self.cell!r}, op={self.op!r}")
+        target = "cell" if self.cell is not None else "op"
+        what = _WHAT[target]
+        seconds, message = _DEFAULTS[target]
+        if self.seconds is None:
+            object.__setattr__(self, "seconds", seconds)
+        if self.message is None:
+            object.__setattr__(self, "message", message)
+        if self.kind not in _KINDS[target]:
+            raise ConfigurationError(
+                f"unknown {what} kind {self.kind!r}; expected one of "
+                f"{list(_KINDS[target])}")
+        if self.seconds < 0:
+            raise ConfigurationError(
+                f"{what} seconds must be non-negative, got {self.seconds!r}")
+        if target == "cell":
+            if not self.attempts or any(a < 1 for a in self.attempts):
+                raise ConfigurationError(
+                    f"cell-fault attempts must be 1-based attempt "
+                    f"numbers, got {self.attempts!r}")
+            return
+        if self.op not in FAULT_OPS:
             raise ConfigurationError(
                 f"unknown store-fault op {self.op!r}; expected one of "
-                f"{list(STORE_FAULT_OPS)}")
-        if self.kind not in STORE_FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown store-fault kind {self.kind!r}; expected one of "
-                f"{list(STORE_FAULT_KINDS)}")
+                f"{list(FAULT_OPS)}")
         if self.every < 1:
             raise ConfigurationError(
                 f"store-fault every must be >= 1, got {self.every}")
         if self.times is not None and self.times < 0:
             raise ConfigurationError(
                 f"store-fault times must be >= 0, got {self.times}")
-        if self.seconds < 0:
-            raise ConfigurationError(
-                f"store-fault seconds must be non-negative, "
-                f"got {self.seconds!r}")
         if self.rate is not None and not 0.0 < self.rate <= 1.0:
             raise ConfigurationError(
                 f"store-fault rate must be in (0, 1], got {self.rate!r}")
@@ -155,94 +208,189 @@ class StoreFault:
             raise ConfigurationError(
                 f"torn faults only apply to 'put', got op {self.op!r}")
 
+    def triggers(self, label: str, attempt: int) -> bool:
+        """Does this cell fault fire for ``label`` on ``attempt``?"""
+        return self.cell == label and attempt in self.attempts
+
     def matches(self, op: str) -> bool:
-        return self.op == "*" or self.op == op
+        """Does this op fault intercept store operation ``op``?"""
+        return self.op == "*" or (self.op is not None and self.op == op)
+
+    def to_entry(self) -> Dict[str, Any]:
+        """This fault as one entry of the plan document."""
+        if self.cell is not None:
+            return {"cell": self.cell, "kind": self.kind,
+                    "attempts": list(self.attempts),
+                    "seconds": self.seconds, "message": self.message}
+        entry: Dict[str, Any] = {
+            "op": self.op, "kind": self.kind, "every": self.every,
+            "seconds": self.seconds, "seed": self.seed,
+            "message": self.message}
+        if self.times is not None:
+            entry["times"] = self.times
+        if self.rate is not None:
+            entry["rate"] = self.rate
+        return entry
+
+    @classmethod
+    def from_entry(cls, entry: Any) -> "Fault":
+        """Parse one plan entry, failing loudly on malformed input."""
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"each fault must be an object, got {entry!r}")
+        if "cell" in entry and "op" in entry:
+            raise ConfigurationError(
+                f"fault entry {entry!r} targets both a 'cell' and an "
+                f"'op'; split it into two entries")
+        if "cell" not in entry and "op" not in entry:
+            raise ConfigurationError(
+                f"fault entry {entry!r} is missing required field "
+                f"'cell' or 'op'")
+        target = "cell" if "cell" in entry else "op"
+        what = _WHAT[target]
+        unknown = sorted(set(entry) - _FIELDS[target])
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {what} fields {unknown}; expected a subset of "
+                f"{sorted(_FIELDS[target])}")
+        if "kind" not in entry:
+            raise ConfigurationError(
+                f"{what} entry is missing required field 'kind'")
+        times, rate = entry.get("times"), entry.get("rate")
+        seconds, message = entry.get("seconds"), entry.get("message")
+        return cls(
+            kind=str(entry["kind"]),
+            cell=str(entry["cell"]) if target == "cell" else None,
+            op=str(entry["op"]) if target == "op" else None,
+            attempts=tuple(int(a) for a in entry.get("attempts", (1,))),
+            every=int(entry.get("every", 1)),
+            times=None if times is None else int(times),
+            rate=None if rate is None else float(rate),
+            seed=int(entry.get("seed", 0)),
+            seconds=None if seconds is None else float(seconds),
+            message=None if message is None else str(message))
 
 
 @dataclass(frozen=True)
-class StoreFaultPlan:
-    """An ordered collection of :class:`StoreFault`\\ s."""
+class FaultPlan:
+    """An ordered collection of :class:`Fault`\\ s."""
 
-    faults: Tuple[StoreFault, ...] = ()
+    faults: Tuple[Fault, ...] = ()
 
     def __bool__(self) -> bool:
         return bool(self.faults)
 
+    def for_cell(self, label: str,
+                 kind: Optional[str] = None) -> List[Fault]:
+        """Faults aimed at ``label`` (optionally restricted to ``kind``)."""
+        return [f for f in self.faults
+                if f.cell == label and (kind is None or f.kind == kind)]
+
     def to_json(self) -> str:
-        """Serialize to the ``REPRO_STORE_FAULTS`` JSON format."""
-        entries: List[Dict[str, Any]] = []
-        for f in self.faults:
-            entry: Dict[str, Any] = {
-                "op": f.op, "kind": f.kind, "every": f.every,
-                "seconds": f.seconds, "seed": f.seed, "message": f.message}
-            if f.times is not None:
-                entry["times"] = f.times
-            if f.rate is not None:
-                entry["rate"] = f.rate
-            entries.append(entry)
-        return json.dumps({"faults": entries}, sort_keys=True)
+        """Serialize to the ``REPRO_FAULTS`` JSON format."""
+        return json.dumps({"faults": [f.to_entry() for f in self.faults]},
+                          sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "StoreFaultPlan":
+    def from_json(cls, text: str) -> "FaultPlan":
         """Parse a plan document, failing loudly on malformed input."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
-                f"store-fault plan is not valid JSON: {exc}") from exc
+                f"fault plan is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(
                 doc.get("faults", []), list):
             raise ConfigurationError(
-                "store-fault plan must be an object with a 'faults' list")
-        faults: List[StoreFault] = []
-        for entry in doc.get("faults", []):
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"each store fault must be an object, got {entry!r}")
-            unknown = sorted(set(entry) - _PLAN_FIELDS)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown store-fault fields {unknown}; expected a "
-                    f"subset of {sorted(_PLAN_FIELDS)}")
-            try:
-                op = str(entry["op"])
-                kind = str(entry["kind"])
-            except KeyError as missing:
-                raise ConfigurationError(
-                    f"store-fault entry is missing required field "
-                    f"{missing}") from missing
-            times = entry.get("times")
-            rate = entry.get("rate")
-            faults.append(StoreFault(
-                op=op, kind=kind,
-                every=int(entry.get("every", 1)),
-                times=None if times is None else int(times),
-                seconds=float(entry.get("seconds", 0.05)),
-                rate=None if rate is None else float(rate),
-                seed=int(entry.get("seed", 0)),
-                message=str(entry.get("message", "injected store fault"))))
-        return cls(faults=tuple(faults))
+                "fault plan must be an object with a 'faults' list")
+        return cls(faults=tuple(
+            Fault.from_entry(entry) for entry in doc.get("faults", [])))
 
 
-def active_store_plan() -> Optional[StoreFaultPlan]:
-    """The plan named by ``$REPRO_STORE_FAULTS``, or ``None`` when unset.
+#: The last ``(raw env value, plan)`` parsed by :func:`active_plan`.
+_parsed: Tuple[str, Optional[FaultPlan]] = ("", None)
+
+
+def active_plan() -> Optional[FaultPlan]:
+    """The plan named by ``$REPRO_FAULTS``, or ``None`` when unset.
 
     ``@/path/to/plan.json`` loads from a file; anything else parses as
-    inline JSON.  (Unlike cell faults, the plan is read once per
-    wrapper — injection schedules are stateful counters, so a store
-    keeps the plan it was wrapped with.)
+    inline JSON.  A value is parsed once and reused until it changes.
+    Setting the retired store-only plan variable is an error, so a
+    chaos script written for it cannot silently run fault-free.
     """
-    raw = os.environ.get(STORE_FAULTS_ENV)
+    global _parsed
+    if os.environ.get(_RETIRED_ENV):
+        raise ConfigurationError(
+            f"${_RETIRED_ENV} is no longer read: put its op-targeted "
+            f"entries in the ${FAULTS_ENV} plan")
+    raw = os.environ.get(FAULTS_ENV)
     if not raw:
         return None
-    if raw.startswith("@"):
-        path = Path(raw[1:])
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read store-fault plan file {path}: {exc}") from exc
-    return StoreFaultPlan.from_json(raw)
+    if raw != _parsed[0]:
+        text = raw
+        if raw.startswith("@"):
+            path = Path(raw[1:])
+            try:
+                text = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"cannot read fault plan file {path}: {exc}") from exc
+        _parsed = (raw, FaultPlan.from_json(text))
+    return _parsed[1]
+
+
+# -- cell faults ---------------------------------------------------------
+
+
+def inject(label: str, attempt: int) -> None:
+    """Fire any execution-side cell faults aimed at ``label``/``attempt``.
+
+    Called by the runner in the executing process (worker or inline)
+    immediately before the cell body runs.  Without a plan this is one
+    environment lookup.
+    """
+    if not os.environ.get(FAULTS_ENV):
+        return
+    plan = active_plan()
+    for fault in plan.faults if plan is not None else ():
+        if fault.kind == "corrupt" or not fault.triggers(label, attempt):
+            continue
+        if os.environ.get("REPRO_TRACE"):
+            # Which fault fired where is a deterministic fact of the
+            # plan, so the trace event survives canonical projection.
+            from ..obs.trace import add_event
+
+            add_event("fault", det=True, kind=fault.kind, cell=label,
+                      attempt=attempt)
+        if fault.kind == "raise":
+            raise InjectedFaultError(
+                f"{fault.message} (cell {label}, attempt {attempt})")
+        if fault.kind == "hang":
+            time.sleep(fault.seconds)
+        elif fault.kind == "kill":
+            os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
+
+
+def corrupt_entries(plan: FaultPlan, labels: Sequence[str],
+                    keys: Sequence[str], store: ExperimentStore) -> int:
+    """Apply the plan's ``corrupt`` faults to existing store entries.
+
+    Parent-side, before store hits are resolved: each targeted cell's
+    existing entry is overwritten with garbage (via
+    :meth:`~repro.store.ExperimentStore.write_raw`, so it works on any
+    backend) and the subsequent ``get`` exercises checksum detection
+    and quarantine.  Returns the number of entries corrupted.
+    """
+    corrupted = 0
+    for label, key in zip(labels, keys):
+        if plan.for_cell(label, kind="corrupt") and key in store:
+            store.write_raw(key, _CORRUPT_BYTES)
+            corrupted += 1
+    return corrupted
+
+
+# -- op faults -----------------------------------------------------------
 
 
 class FaultInjector:
@@ -253,16 +401,16 @@ class FaultInjector:
     by ``"op:kind"`` for tests and diagnostics.
     """
 
-    def __init__(self, plan: StoreFaultPlan) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.injected: Dict[str, int] = {}
         self._seen = [0] * len(plan.faults)
         self._fired = [0] * len(plan.faults)
         self._rngs = [random.Random(f.seed) for f in plan.faults]
 
-    def fire(self, op: str) -> List[StoreFault]:
+    def fire(self, op: str) -> List[Fault]:
         """Faults firing on this occurrence of ``op``, in plan order."""
-        fired: List[StoreFault] = []
+        fired: List[Fault] = []
         for i, fault in enumerate(self.plan.faults):
             if not fault.matches(op):
                 continue
@@ -280,8 +428,7 @@ class FaultInjector:
                 fired.append(fault)
         return fired
 
-    def raise_or_wait(self, op: str,
-                      fired: Sequence[StoreFault]) -> None:
+    def raise_or_wait(self, op: str, fired: Sequence[Fault]) -> None:
         """Apply non-torn faults: sleep latencies, raise the first error."""
         for fault in fired:
             if fault.kind == "latency":
@@ -298,7 +445,7 @@ class FaultInjector:
                     f"database disk image is malformed "
                     f"[{fault.message}: {op}]")
 
-    def inject(self, op: str) -> List[StoreFault]:
+    def inject(self, op: str) -> List[Fault]:
         """:meth:`fire` + :meth:`raise_or_wait`; returns torn faults."""
         fired = self.fire(op)
         torn = [f for f in fired if f.kind == "torn"]
@@ -352,8 +499,7 @@ class FaultyStore(StoreProxy):
     injector, so one plan's counters cover the whole surface.
     """
 
-    def __init__(self, inner: ExperimentStore,
-                 plan: StoreFaultPlan) -> None:
+    def __init__(self, inner: ExperimentStore, plan: FaultPlan) -> None:
         super().__init__(inner)
         self.injector = FaultInjector(plan)
 
@@ -380,12 +526,13 @@ class FaultyStore(StoreProxy):
 
 
 def maybe_faulty_store(store: ExperimentStore) -> ExperimentStore:
-    """Wrap ``store`` when ``$REPRO_STORE_FAULTS`` names a plan.
+    """Wrap ``store`` when the active plan has op-targeted entries.
 
     The coordinator and every worker call this on the store they just
-    opened; without a plan the store passes through untouched.
+    opened, so each process counts its own operations; without op
+    faults the store passes through untouched.
     """
-    plan = active_store_plan()
-    if plan is None or not plan:
+    plan = active_plan()
+    if plan is None or not any(f.op is not None for f in plan.faults):
         return store
     return FaultyStore(store, plan)

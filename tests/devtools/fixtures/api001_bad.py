@@ -1,13 +1,7 @@
-"""API001 trips: RunConfig fields drift from the CLI and the shim."""
+"""API001 trips: RunConfig fields drift from the CLI."""
 
 import argparse
 from dataclasses import dataclass
-
-_LEGACY_ALIASES = {
-    "cache": "store",
-    "jobs": "jobs",          # BAD: alias shadows a live field
-    "workers": "num_workers",  # BAD: maps to a field that does not exist
-}
 
 
 @dataclass(frozen=True)

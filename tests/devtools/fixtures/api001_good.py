@@ -1,11 +1,7 @@
-"""API001 clean: fields, flags and legacy aliases all agree."""
+"""API001 clean: fields and flags agree."""
 
 import argparse
 from dataclasses import dataclass
-
-_LEGACY_ALIASES = {
-    "cache": "store",  # retired kwarg mapping onto a live field
-}
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ MIN_BAD_FINDINGS = {
     "CON002": 3,
     "CON003": 2,
     "TNT001": 3,
-    "API001": 2,
+    "API001": 1,
 }
 
 #: Fixtures whose full-ruleset run needs a specific virtual location.

@@ -16,7 +16,7 @@ from repro.obs import (
     series_config,
     validate_run_dir,
 )
-from repro.runner import Cell, run_cells
+from repro.runner import Cell, RunConfig, run_cells
 
 from .helpers import sim_cell
 
@@ -27,8 +27,8 @@ def _run_session(root, jobs=1, profile=False):
     cells = [Cell("obs-e2e", (i,), sim_cell, (64, 300, i)) for i in range(2)]
     with session:
         with session.phase("sweep"):
-            results = run_cells(cells, jobs=jobs,
-                                telemetry=session.telemetry)
+            results = run_cells(cells, RunConfig(
+                jobs=jobs, telemetry=session.telemetry))
     return session, results
 
 
@@ -159,7 +159,6 @@ def test_run_experiment_facade_records_telemetry(tmp_path):
 def test_spans_record_trace_reuse(tmp_path, jobs):
     from repro.obs.report import report_data
     from repro.obs.schema import load_jsonl
-    from repro.runner import RunConfig
 
     root = tmp_path / "fig6"
     repro.run_experiment("fig6", scale="smoke", telemetry=root,
@@ -192,8 +191,10 @@ def test_cached_cells_have_no_reuse_counts(tmp_path):
     from repro.obs.schema import load_jsonl
 
     store = tmp_path / "store"
-    repro.run_experiment("fig6", scale="smoke", store=store)
-    repro.run_experiment("fig6", scale="smoke", store=store,
+    repro.run_experiment("fig6", scale="smoke",
+                         run_config=RunConfig(store=store))
+    repro.run_experiment("fig6", scale="smoke",
+                         run_config=RunConfig(store=store),
                          telemetry=tmp_path / "warm")
     for row in load_jsonl(tmp_path / "warm" / "spans.jsonl"):
         assert row["status"] == "cached"

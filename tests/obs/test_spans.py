@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import RunTelemetry
-from repro.runner import Cell, run_cells
+from repro.runner import Cell, RunConfig, run_cells
 from repro.store import LocalFileStore
 
 from .helpers import broken_cell, flaky_cell, sim_cell
@@ -23,7 +23,7 @@ def test_span_requires_begin():
 
 def test_fresh_run_spans():
     telemetry = RunTelemetry(experiment="obs-e2e")
-    run_cells(_cells(), jobs=1, telemetry=telemetry)
+    run_cells(_cells(), RunConfig(jobs=1, telemetry=telemetry))
     rows = telemetry.rows()
     assert [r["index"] for r in rows] == [0, 1, 2]
     for row in rows:
@@ -46,9 +46,10 @@ def test_fresh_run_spans():
 
 def test_cached_run_spans(tmp_path):
     cache = LocalFileStore(tmp_path / "cache")
-    run_cells(_cells(), jobs=1, store=cache)
+    run_cells(_cells(), RunConfig(jobs=1, store=cache))
     telemetry = RunTelemetry()
-    run_cells(_cells(), jobs=1, store=cache, telemetry=telemetry)
+    run_cells(_cells(), RunConfig(jobs=1, store=cache,
+                                  telemetry=telemetry))
     assert all(r["status"] == "cached" and r["cache_hit"]
                for r in telemetry.rows())
     assert telemetry.counts()["cached"] == 3
@@ -58,7 +59,8 @@ def test_retried_cell_span(tmp_path):
     telemetry = RunTelemetry()
     cells = [Cell("obs-e2e", ("flaky",), flaky_cell,
                   (str(tmp_path), "s", 42))]
-    results = run_cells(cells, jobs=1, retries=2, telemetry=telemetry)
+    results = run_cells(cells, RunConfig(jobs=1, retries=2,
+                                         telemetry=telemetry))
     assert results == [42]
     (row,) = telemetry.rows()
     assert row["status"] == "ok"
@@ -73,8 +75,8 @@ def test_retried_cell_span(tmp_path):
 def test_failed_cell_span_keep_going():
     telemetry = RunTelemetry()
     cells = _cells(2) + [Cell("obs-e2e", ("bad",), broken_cell, ("boom",))]
-    results = run_cells(cells, jobs=1, retries=1, keep_going=True,
-                        telemetry=telemetry)
+    results = run_cells(cells, RunConfig(jobs=1, retries=1, keep_going=True,
+                                         telemetry=telemetry))
     assert results[:2] == [sim_cell(64, 200, 0), sim_cell(64, 200, 1)]
     bad = telemetry.rows()[2]
     assert bad["status"] == "failed"
@@ -94,7 +96,8 @@ def test_pool_run_matches_inline_spans(tmp_path):
         cells = _cells(4) + [Cell("obs-e2e", ("flaky",), flaky_cell,
                                   (str(tmp_path), "s", 42))]
         telemetry = RunTelemetry()
-        run_cells(cells, jobs=jobs, retries=1, telemetry=telemetry)
+        run_cells(cells, RunConfig(jobs=jobs, retries=1,
+                                   telemetry=telemetry))
         rows = telemetry.rows()
         assert rows[-1]["retries"] == 1
         for row in rows:
@@ -119,7 +122,7 @@ def test_queue_stats_gauges():
 
 def test_write_jsonl_in_cell_order(tmp_path):
     telemetry = RunTelemetry()
-    run_cells(_cells(), jobs=2, telemetry=telemetry)
+    run_cells(_cells(), RunConfig(jobs=2, telemetry=telemetry))
     path = telemetry.write_jsonl(tmp_path / "spans.jsonl")
     lines = path.read_text().splitlines()
     assert json.loads(lines[0]) == {"artifact": "spans",

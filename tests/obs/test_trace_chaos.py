@@ -23,9 +23,8 @@ import pytest
 from repro.experiments.__main__ import main
 from repro.obs.schema import validate_run_dir
 from repro.obs.stitch import canonical, completeness, load_trace_rows, stitch
-from repro.runner.faults import FAULTS_ENV
 from repro.store import open_store
-from repro.store.faults import STORE_FAULTS_ENV
+from repro.store.faults import FAULTS_ENV
 
 #: One fig3 cell raises on its first attempt and succeeds on retry.
 RETRY_PLAN = json.dumps({"faults": [
@@ -34,6 +33,15 @@ RETRY_PLAN = json.dumps({"faults": [
 #: One fig3 cell sleeps well past the 0.4 s lease used below.
 SLOW_PLAN = json.dumps({"faults": [
     {"cell": "fig3[0.6]", "kind": "hang", "seconds": 1.5}]})
+
+#: One fig3 cell's worker is SIGKILLed on the cell's first attempt.
+KILL_PLAN = json.dumps({"faults": [
+    {"cell": "fig3[0.6]", "kind": "kill", "attempts": [1]}]})
+
+#: One fig3 cell hangs on its first attempt, far past the timeout.
+HANG_PLAN = json.dumps({"faults": [
+    {"cell": "fig3[0.6]", "kind": "hang", "seconds": 30.0,
+     "attempts": [1]}]})
 
 #: Every other queue/store call hits lock contention first.
 BUSY_PLAN = json.dumps({"faults": [{"op": "*", "kind": "busy", "every": 2}]})
@@ -110,6 +118,37 @@ class TestRetriedCellTrace:
         assert (canonical(stitched(duo)) == canonical(stitched(quad)))
 
 
+class TestDeadWorkerTrace:
+    """The coordinator closes the attempt of a worker that died inside
+    its ``execute`` span — killed by a fault, or by the coordinator
+    itself on a ``cell_timeout`` — so the ladder stays complete."""
+
+    @pytest.mark.parametrize("plan,extra", [
+        (KILL_PLAN, ()),
+        (HANG_PLAN, ("--retries", "1", "--cell-timeout", "2")),
+    ], ids=["kill", "timeout"])
+    def test_dead_attempt_is_closed_by_the_coordinator(
+            self, tmp_path, capsys, monkeypatch, plan, extra):
+        baseline = baseline_stdout(tmp_path, capsys)
+        monkeypatch.setenv(FAULTS_ENV, plan)
+        run_dir = traced_fleet(tmp_path, "dead", "--jobs", "2", *extra)
+        assert capsys.readouterr().out == baseline
+        assert validate_run_dir(run_dir) == []
+        tree = stitched(run_dir)
+
+        label = "fig3[0.6]"
+        assert [c["attempt"] for c in spans_for(tree, label, "claim")] \
+            == [1, 2]
+        first, second = spans_for(tree, label, "execute")
+        assert first["status"] == "error" and second["status"] == "ok"
+        (nack,) = spans_for(tree, label, "nack")
+        assert nack["attempt"] == 1
+        assert [e["name"] for e in nack["events"]] == [
+            "error", "retry_scheduled"]
+        (ack,) = spans_for(tree, label, "ack")
+        assert ack["attempt"] == 2
+
+
 class TestStolenCellTrace:
     def test_a_steal_is_traced_and_the_tree_stays_complete(
             self, tmp_path, capsys, monkeypatch):
@@ -147,9 +186,9 @@ class TestStoreFaultTrace:
         raw rows, yet the canonical projection equals a fault-free
         run's — backoff is schedule, not causality."""
         clean = traced_fleet(tmp_path, "clean", "--jobs", "2")
-        monkeypatch.setenv(STORE_FAULTS_ENV, BUSY_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, BUSY_PLAN)
         busy = traced_fleet(tmp_path, "busy", "--jobs", "2")
-        monkeypatch.delenv(STORE_FAULTS_ENV)
+        monkeypatch.delenv(FAULTS_ENV)
         capsys.readouterr()
         rows = load_trace_rows([busy])
         retry_events = [e for row in rows for e in row["events"]

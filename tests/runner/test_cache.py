@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.runner import (
     CacheCorruptionWarning,
     Cell,
+    RunConfig,
     canonical_encode,
     cell_key,
     default_cache_dir,
@@ -156,12 +157,12 @@ class TestResultCache:
         cache = LocalFileStore(tmp_path / "cache")
         cells = [Cell("t", (0,), touch_and_return,
                       (str(sentinels), "c0", 41))]
-        assert run_cells(cells, store=cache) == [41]
+        assert run_cells(cells, RunConfig(store=cache)) == [41]
         key = cell_key(cells[0])
         cache.path_for(key).write_bytes(b"garbage")
         (sentinels / "c0").unlink()
         with pytest.warns(CacheCorruptionWarning):
-            assert run_cells(cells, store=cache) == [41]
+            assert run_cells(cells, RunConfig(store=cache)) == [41]
         assert (sentinels / "c0").exists()  # really re-executed
         assert cache.get(key) == (True, 41)
 
@@ -208,11 +209,11 @@ class TestCacheShortCircuit:
         cache = LocalFileStore(tmp_path / "cache")
         cells = [Cell("t", (i,), touch_and_return,
                       (str(sentinels), f"c{i}", i)) for i in range(3)]
-        assert run_cells(cells, store=cache) == [0, 1, 2]
+        assert run_cells(cells, RunConfig(store=cache)) == [0, 1, 2]
         # Wipe the execution record; a cached rerun must not recreate it.
         for f in sentinels.iterdir():
             f.unlink()
-        assert run_cells(cells, store=cache) == [0, 1, 2]
+        assert run_cells(cells, RunConfig(store=cache)) == [0, 1, 2]
         assert list(sentinels.iterdir()) == []
 
     def test_force_reexecutes(self, tmp_path):
@@ -221,7 +222,7 @@ class TestCacheShortCircuit:
         cache = LocalFileStore(tmp_path / "cache")
         cells = [Cell("t", (0,), touch_and_return,
                       (str(sentinels), "c0", 7))]
-        run_cells(cells, store=cache)
+        run_cells(cells, RunConfig(store=cache))
         (sentinels / "c0").unlink()
-        assert run_cells(cells, store=cache, force=True) == [7]
+        assert run_cells(cells, RunConfig(store=cache, force=True)) == [7]
         assert (sentinels / "c0").exists()

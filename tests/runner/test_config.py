@@ -1,4 +1,4 @@
-"""RunConfig and the legacy-keyword deprecation shim."""
+"""RunConfig: the one way to configure a sweep."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner import Cell, RunConfig, run_cells
-from repro.runner.config import coerce_run_config
 from repro.runner.resilience import RetryPolicy
 from repro.store import LocalFileStore
 
@@ -64,43 +63,6 @@ class TestRunConfig:
             RunConfig(store=tmp_path, queue_workers=2)
 
 
-class TestCoerceRunConfig:
-    def test_config_passes_through_unchanged(self):
-        cfg = RunConfig(jobs=4)
-        assert coerce_run_config(cfg, {}, where="t") is cfg
-
-    def test_no_arguments_yield_defaults(self, recwarn):
-        assert coerce_run_config(None, {}, where="t") == RunConfig()
-        assert len(recwarn.list) == 0
-
-    def test_legacy_kwargs_warn_once_and_map(self, tmp_path):
-        store = LocalFileStore(tmp_path)
-        with pytest.warns(DeprecationWarning,
-                          match="pass a RunConfig") as rec:
-            cfg = coerce_run_config(
-                None, {"jobs": 3, "store": store, "retries": 1}, where="t")
-        assert len(rec.list) == 1  # a single warning per call
-        assert cfg.jobs == 3
-        assert cfg.store is store
-        assert cfg.retries == 1
-
-    def test_removed_cache_alias_is_an_error(self, tmp_path):
-        """The cache= -> store= deprecation cycle is over: passing
-        cache= now fails fast, naming the replacement field."""
-        store = LocalFileStore(tmp_path)
-        with pytest.raises(TypeError,
-                           match="cache= was renamed to store="):
-            coerce_run_config(None, {"jobs": 3, "cache": store}, where="t")
-
-    def test_mixing_styles_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            coerce_run_config(RunConfig(), {"jobs": 2}, where="t")
-
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="workers"):
-            coerce_run_config(None, {"workers": 2}, where="t")
-
-
 class TestRunnerEntryPoints:
     def cells(self, n=3):
         return [Cell("t", (i,), square, (None, i)) for i in range(n)]
@@ -111,24 +73,19 @@ class TestRunnerEntryPoints:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_run_cells_legacy_kwargs_still_work(self, tmp_path):
-        store = LocalFileStore(tmp_path)
-        with pytest.warns(DeprecationWarning, match="repro.runner.run_cells"):
-            assert run_cells(self.cells(), store=store) == [0, 1, 4]
-        # The legacy run populated the store under the new protocol.
-        assert len(store) == 3
-
     def test_run_cells_rejects_removed_cache_alias(self, tmp_path):
-        with pytest.raises(TypeError, match="cache= was renamed"):
+        """Runner knobs travel only in a RunConfig: the old ``cache=``
+        (like any keyword) fails fast instead of being ignored."""
+        with pytest.raises(TypeError, match="cache"):
             run_cells(self.cells(), cache=LocalFileStore(tmp_path))
 
     def test_experiment_run_accepts_run_config(self, capsys):
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("fig3")
-        legacy = spec.run(spec.config("smoke"), jobs=1)
+        default = spec.run(spec.config("smoke"))
         capsys.readouterr()
-        modern = spec.run(spec.config("smoke"),
-                          run_config=RunConfig(jobs=1))
-        assert modern == legacy
+        explicit = spec.run(spec.config("smoke"),
+                            run_config=RunConfig(jobs=1))
+        assert explicit == default
 

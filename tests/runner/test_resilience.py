@@ -1,6 +1,6 @@
 """Fault tolerance: retries, timeouts, keep-going sweeps, fault injection.
 
-The deterministic fault-injection harness (:mod:`repro.runner.faults`)
+The deterministic fault-injection harness (:mod:`repro.store.faults`)
 drives most of these: a plan names exact cells and attempt numbers, so
 every scenario either always recovers or always fails — no timing or
 scheduling dependence — and chaos runs stay byte-identical to fault-free
@@ -16,13 +16,9 @@ import pytest
 
 from repro.errors import CellTimeoutError, ConfigurationError, WorkerError
 from repro.runner import (
-    FAULTS_ENV,
     CacheCorruptionWarning,
     Cell,
     FailedCell,
-    Fault,
-    FaultPlan,
-    InjectedFaultError,
     Progress,
     RetryPolicy,
     RunConfig,
@@ -31,8 +27,14 @@ from repro.runner import (
     run_cells,
     write_manifest,
 )
-from repro.runner.faults import active_plan
 from repro.store import LocalFileStore, open_store
+from repro.store.faults import (
+    FAULTS_ENV,
+    Fault,
+    FaultPlan,
+    InjectedFaultError,
+    active_plan,
+)
 
 from .helpers import (
     FlakyConfig,
@@ -46,7 +48,7 @@ from .helpers import (
 )
 
 #: Backoff fast enough for tests but still exercising the delay path.
-FAST = {"backoff_base": 0.001, "backoff_cap": 0.01}
+FAST = RunConfig(backoff_base=0.001, backoff_cap=0.01)
 
 
 @pytest.fixture(autouse=True)
@@ -79,34 +81,35 @@ class TestRetryPolicy:
 class TestRetries:
     def test_transient_failure_recovers_inline(self, tmp_path):
         cells = [Cell("t", (0,), succeed_after, (str(tmp_path), "c0", 2, 7))]
-        assert run_cells(cells, jobs=1, retries=2, **FAST) == [7]
+        assert run_cells(cells, FAST.replace(jobs=1, retries=2)) == [7]
         assert len(list(tmp_path.glob("c0.attempt*"))) == 3
 
     def test_transient_failure_recovers_in_pool(self, tmp_path):
         cells = square_cells(3) + [
             Cell("t", (0,), succeed_after, (str(tmp_path), "c0", 1, 7))]
-        assert run_cells(cells, jobs=2, retries=1, **FAST) == [0, 1, 4, 7]
+        assert run_cells(cells,
+                         FAST.replace(jobs=2, retries=1)) == [0, 1, 4, 7]
         assert len(list(tmp_path.glob("c0.attempt*"))) == 2
 
     def test_exhausted_retries_raise_raw_inline(self, tmp_path):
         cells = [Cell("t", (0,), succeed_after, (str(tmp_path), "c0", 9, 7))]
         with pytest.raises(ValueError, match="attempt 3"):
-            run_cells(cells, jobs=1, retries=2, **FAST)
+            run_cells(cells, FAST.replace(jobs=1, retries=2))
         assert len(list(tmp_path.glob("c0.attempt*"))) == 3
 
     def test_exhausted_retries_raise_worker_error_in_pool(self, tmp_path):
         cells = square_cells(2) + [
             Cell("t", (0,), succeed_after, (str(tmp_path), "c0", 9, 7))]
         with pytest.raises(WorkerError, match=r"t\[0\]: ValueError"):
-            run_cells(cells, jobs=2, retries=1, **FAST)
+            run_cells(cells, FAST.replace(jobs=2, retries=1))
         assert len(list(tmp_path.glob("c0.attempt*"))) == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retry_is_announced_on_stderr(self, tmp_path, capsys, jobs):
         cells = square_cells(2) + [
             Cell("t", (0,), succeed_after, (str(tmp_path), "c0", 1, 7))]
-        run_cells(cells, jobs=jobs, retries=1, **FAST,
-                  progress=Progress(sys.stderr))
+        run_cells(cells, FAST.replace(jobs=jobs, retries=1,
+                                      progress=Progress(sys.stderr)))
         err = capsys.readouterr().err
         assert "t[0]: attempt 1 failed (ValueError" in err
         assert "retrying in" in err
@@ -121,8 +124,8 @@ class TestKeepGoing:
             Cell("t", (1,), raise_value_error, ("broken",)),
             Cell("t", (2,), square, (None, 4)),
         ]
-        results = run_cells(cells, jobs=jobs, store=cache, keep_going=True,
-                            **FAST)
+        results = run_cells(cells, FAST.replace(jobs=jobs, store=cache,
+                                                keep_going=True))
         assert results[0] == 9 and results[2] == 16
         failed = results[1]
         assert isinstance(failed, FailedCell)
@@ -138,8 +141,8 @@ class TestKeepGoing:
     def test_failed_cell_counts_toward_progress(self, capsys):
         cells = [Cell("t", (0,), raise_value_error, ("broken",))] \
             + square_cells(1)
-        run_cells(cells, jobs=1, keep_going=True,
-                  progress=Progress(sys.stderr), **FAST)
+        run_cells(cells, FAST.replace(jobs=1, keep_going=True,
+                                      progress=Progress(sys.stderr)))
         err = capsys.readouterr().err
         assert "t[0]: FAILED" in err
         assert "2/2" in err
@@ -147,7 +150,8 @@ class TestKeepGoing:
     def test_keep_going_with_retries_records_attempts(self, tmp_path):
         cells = [Cell("t", (0,), succeed_after,
                       (str(tmp_path), "c0", 9, 7))]
-        results = run_cells(cells, jobs=1, retries=2, keep_going=True, **FAST)
+        results = run_cells(cells, FAST.replace(jobs=1, retries=2,
+                                                keep_going=True))
         assert results[0].attempts == 3
 
 
@@ -157,8 +161,8 @@ class TestTimeouts:
         cache = open_store(f"{backend}:{tmp_path / 'store'}")
         cells = [Cell("t", (0,), square, (None, 3)),
                  Cell("t", ("hang",), sleep_forever, ())]
-        results = run_cells(cells, jobs=2, store=cache, cell_timeout=0.5,
-                            keep_going=True, **FAST)
+        results = run_cells(cells, FAST.replace(
+            jobs=2, store=cache, cell_timeout=0.5, keep_going=True))
         assert results[0] == 9
         failed = results[1]
         assert isinstance(failed, FailedCell)
@@ -171,7 +175,7 @@ class TestTimeouts:
         # cell_timeout forces queue execution even at jobs=1: an inline
         # hung cell could never be killed.
         with pytest.raises(CellTimeoutError, match="cell-timeout"):
-            run_cells(cells, jobs=1, cell_timeout=0.5, **FAST)
+            run_cells(cells, FAST.replace(jobs=1, cell_timeout=0.5))
 
 
 class TestPoolRecovery:
@@ -180,7 +184,7 @@ class TestPoolRecovery:
         pool respawns, the cell reruns and the sweep completes."""
         cells = square_cells(3) + [
             Cell("t", ("k",), kill_once, (str(tmp_path), "k", 42))]
-        assert run_cells(cells, jobs=2, **FAST) == [0, 1, 4, 42]
+        assert run_cells(cells, FAST.replace(jobs=2)) == [0, 1, 4, 42]
 
     def test_repeat_killer_fails_with_worker_error(self, tmp_path):
         """A cell that keeps killing its worker exhausts the loss budget
@@ -190,7 +194,7 @@ class TestPoolRecovery:
         cells = square_cells(3) + [
             Cell("t", ("k",), kill_after_cached, (str(tmp_path), 3))]
         with pytest.raises(WorkerError, match="worker pool broke"):
-            run_cells(cells, jobs=2, store=cache, **FAST)
+            run_cells(cells, FAST.replace(jobs=2, store=cache))
         # The innocent cells all completed and were persisted.
         assert len(cache) == 3
 
@@ -198,14 +202,17 @@ class TestPoolRecovery:
         cache = LocalFileStore(tmp_path)
         cells = square_cells(2) + [
             Cell("t", ("k",), kill_after_cached, (str(tmp_path), 2))]
-        results = run_cells(cells, jobs=2, store=cache, keep_going=True,
-                            **FAST)
+        results = run_cells(cells, FAST.replace(jobs=2, store=cache,
+                                                keep_going=True))
         assert results[:2] == [0, 1]
         assert isinstance(results[2], FailedCell)
         assert results[2].error_type == "WorkerError"
 
 
 class TestFaultPlan:
+    """Cell-fault plans through the shared plan format; the mixed
+    cell+op cases live in ``tests/store/test_store_faults.py``."""
+
     def test_json_round_trip(self):
         plan = FaultPlan((
             Fault(cell="fig3[0.6]", kind="raise", attempts=(1, 2)),
@@ -213,21 +220,6 @@ class TestFaultPlan:
             Fault(cell="fig3[0.8]", kind="corrupt"),
         ))
         assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_triggers_by_label_and_attempt(self):
-        fault = Fault(cell="t[0]", kind="raise", attempts=(2,))
-        assert fault.triggers("t[0]", 2)
-        assert not fault.triggers("t[0]", 1)
-        assert not fault.triggers("t[1]", 2)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError, match="unknown fault kind"):
-            Fault(cell="t[0]", kind="explode")
-
-    def test_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError, match="unknown fault fields"):
-            FaultPlan.from_json(
-                '{"faults": [{"cell": "t[0]", "kind": "raise", "when": 1}]}')
 
     def test_rejects_malformed_json(self):
         with pytest.raises(ConfigurationError, match="not valid JSON"):
@@ -255,20 +247,20 @@ class TestFaultInjection:
     def test_injected_raise_recovers_with_retry(self, monkeypatch, jobs):
         plan = FaultPlan((Fault(cell="squares[1]", kind="raise"),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
-        assert run_cells(square_cells(3), jobs=jobs, retries=1,
-                         **FAST) == [0, 1, 4]
+        assert run_cells(square_cells(3),
+                         FAST.replace(jobs=jobs, retries=1)) == [0, 1, 4]
 
     def test_injected_raise_without_retry_fails(self, monkeypatch):
         plan = FaultPlan((Fault(cell="squares[1]", kind="raise"),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         with pytest.raises(InjectedFaultError):
-            run_cells(square_cells(3), jobs=1)
+            run_cells(square_cells(3), RunConfig(jobs=1))
 
     def test_injected_kill_recovers_via_pool_respawn(self, monkeypatch):
         plan = FaultPlan((Fault(cell="squares[1]", kind="kill",
                                 attempts=(1,)),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
-        assert run_cells(square_cells(3), jobs=2, **FAST) == [0, 1, 4]
+        assert run_cells(square_cells(3), FAST.replace(jobs=2)) == [0, 1, 4]
 
     @pytest.mark.timeout(20)
     def test_injected_kill_recovers_promptly_with_a_store(
@@ -279,27 +271,26 @@ class TestFaultInjection:
                                 attempts=(1,)),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         start = time.monotonic()
-        assert run_cells(square_cells(3), RunConfig(
-            jobs=2, store=f"sqlite:{tmp_path / 'results.db'}",
-            **FAST)) == [0, 1, 4]
+        assert run_cells(square_cells(3), FAST.replace(
+            jobs=2, store=f"sqlite:{tmp_path / 'results.db'}")) == [0, 1, 4]
         assert time.monotonic() - start < 20
 
     def test_injected_hang_recovers_via_timeout(self, monkeypatch):
         plan = FaultPlan((Fault(cell="squares[1]", kind="hang",
                                 seconds=30.0, attempts=(1,)),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
-        assert run_cells(square_cells(3), jobs=2, retries=1,
-                         cell_timeout=0.5, **FAST) == [0, 1, 4]
+        assert run_cells(square_cells(3), FAST.replace(
+            jobs=2, retries=1, cell_timeout=0.5)) == [0, 1, 4]
 
     def test_injected_corruption_quarantines_and_recomputes(
             self, monkeypatch, tmp_path):
         cache = LocalFileStore(tmp_path)
         cells = square_cells(2)
-        assert run_cells(cells, store=cache) == [0, 1]
+        assert run_cells(cells, RunConfig(store=cache)) == [0, 1]
         plan = FaultPlan((Fault(cell="squares[0]", kind="corrupt"),))
         monkeypatch.setenv(FAULTS_ENV, plan.to_json())
         with pytest.warns(CacheCorruptionWarning, match="quarantined"):
-            assert run_cells(cells, store=cache) == [0, 1]
+            assert run_cells(cells, RunConfig(store=cache)) == [0, 1]
         path = cache.path_for(cell_key(cells[0]))
         assert path.exists()  # recomputed and rewritten
         assert path.with_name(path.name + ".corrupt").exists()

@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 
 from repro.experiments.__main__ import main
-from repro.runner.faults import FAULTS_ENV
 from repro.runner.worker import EXIT_STORE_PERMANENT
 from repro.runner.worker import main as worker_main
 from repro.store import open_store
-from repro.store.faults import STORE_FAULTS_ENV
+from repro.store.faults import FAULTS_ENV
 
 #: One fig3 cell sleeps well past the 0.4 s lease used below.
 SLOW_CELL_PLAN = json.dumps({"faults": [
@@ -36,6 +35,12 @@ NOISY_STORE_PLAN = json.dumps({"faults": [
     {"op": "*", "kind": "busy", "every": 3},
     {"op": "claim", "kind": "latency", "seconds": 0.01},
     {"op": "put", "kind": "torn", "times": 1}]})
+
+#: One document for both halves of the harness: a cell raises on its
+#: first attempt, and every other store/queue call hits contention.
+MIXED_PLAN = json.dumps({"faults": [
+    {"cell": "fig3[0.7]", "kind": "raise", "attempts": [1]},
+    {"op": "*", "kind": "busy", "every": 2}]})
 
 #: Workers die permanently on their first claim; the coordinator —
 #: which never claims — keeps running and must notice.
@@ -102,12 +107,12 @@ class TestStoreFaultChaos:
         all absorbed by the retry stack: same bytes, full store, no
         quarantined entries."""
         baseline = baseline_stdout(tmp_path, capsys)
-        monkeypatch.setenv(STORE_FAULTS_ENV, NOISY_STORE_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, NOISY_STORE_PLAN)
         url = f"sqlite:{tmp_path}/noisy.db"
         rc = main(["fig3", "--store", url, "--jobs", "2"])
         assert rc == 0
         assert capsys.readouterr().out == baseline
-        monkeypatch.delenv(STORE_FAULTS_ENV)
+        monkeypatch.delenv(FAULTS_ENV)
         store = open_store(url)
         try:
             assert len(store) == 4
@@ -115,9 +120,24 @@ class TestStoreFaultChaos:
         finally:
             store.close()
 
+    def test_one_plan_drives_cell_and_store_faults(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A single ``$REPRO_FAULTS`` document carries a cell ``raise``
+        and an op ``busy``: the retry budget absorbs the first, the
+        store retry stack the second, and the bytes still match."""
+        baseline = baseline_stdout(tmp_path, capsys)
+        monkeypatch.setenv(FAULTS_ENV, MIXED_PLAN)
+        rc = main(["fig3", "--store", f"sqlite:{tmp_path}/mixed.db",
+                   "--jobs", "2", "--retries", "1"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == baseline
+        assert "fig3[0.7]: attempt 1 failed (InjectedFaultError" \
+            in captured.err
+
     def test_worker_exits_distinctly_on_a_permanent_store_error(
             self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(STORE_FAULTS_ENV, BROKEN_STORE_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
         rc = worker_main(["--store", f"local:{tmp_path}/store",
                           "--queue", "doomed"])
         assert rc == EXIT_STORE_PERMANENT
@@ -130,7 +150,7 @@ class TestStoreFaultChaos:
         """Workers dying with EXIT_STORE_PERMANENT shrink the fleet
         instead of burning the respawn budget; the sweep fails loudly
         with the store-specific reason."""
-        monkeypatch.setenv(STORE_FAULTS_ENV, BROKEN_STORE_PLAN)
+        monkeypatch.setenv(FAULTS_ENV, BROKEN_STORE_PLAN)
         rc = main(["fig3", "--store", f"sqlite:{tmp_path}/broken.db",
                    "--jobs", "2", "--keep-going"])
         assert rc == 1
