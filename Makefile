@@ -1,9 +1,9 @@
 # Convenience targets for the futility-scaling reproduction.
 
 .PHONY: install test bench bench-smoke bench-paper bench-throughput \
-	bench-regression figures figures-parallel report examples lint \
-	lint-baseline typecheck check clean clean-cache telemetry-smoke \
-	chaos-smoke scenario-smoke trace-smoke perfbench-check
+	bench-regression kernel-oracle figures figures-parallel report \
+	examples lint lint-baseline typecheck check clean clean-cache \
+	telemetry-smoke chaos-smoke scenario-smoke trace-smoke perfbench-check
 
 # PYTHONPATH=src keeps every target usable from a bare checkout
 # (no editable install required), matching the tier-1 test invocation.
@@ -54,6 +54,12 @@ perfbench-check:
 		python3 -c '$(PERFBENCH_GATE)' < .perfbench/check-$$w.out \
 			|| exit 1; \
 	done
+
+# The differential kernel oracle alone: every specialized access kernel
+# against the generic (bound-method) build of the same cache, over
+# arrays x rankings x schemes x observers x lifecycle events.
+kernel-oracle:
+	$(PY) -m pytest -q -p no:cacheprovider tests/cache/test_kernel_oracle.py
 
 bench-smoke:
 	REPRO_BENCH_SCALE=smoke pytest benchmarks/ --benchmark-only

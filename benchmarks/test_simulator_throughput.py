@@ -5,7 +5,10 @@ single-thread accesses per second through the partitioned-cache access
 kernel — for one configuration per registered partitioning scheme, in the
 shape the figure experiments actually run it (exact-LRU decision ranking
 with full measurement attached; the feedback-FS hardware pairing uses the
-8-bit coarse-timestamp ranking as in Fig. 7).
+8-bit coarse-timestamp ranking as in Fig. 7).  A second table, ``COMBOS``,
+adds the figure combinations that one-per-scheme does not reach (today
+Fig. 2's PF under Belady OPT at 32 partitions, whose stream carries
+per-thread next-use).
 
 The workload is a hot/cold mix (85% of accesses to a per-partition hot set
 that fits in cache, 15% to a large cold space), approximating the locality
@@ -19,11 +22,15 @@ Two entry points:
 * ``python benchmarks/test_simulator_throughput.py --out BENCH_throughput.json
   --label after`` (``make bench-throughput``): measure every config
   (best-of-5) and merge the lines/sec into the machine-readable JSON under
-  the given label.  With both ``before`` and ``after`` recorded the file
-  gains per-config speedups and their geometric mean.  The committed file
-  was captured by running ``--label before`` on the pre-refactor tree
-  (``git stash``) and ``--label after`` on the same machine in the same
-  session.
+  the given label; ``--only NAME`` re-measures just the named entries
+  (an ``after`` run records its spin calibration on each of them).  With
+  both ``before`` and ``after`` recorded the file gains per-entry
+  speedups and the geometric mean of the per-scheme ones.  The committed
+  per-scheme entries were captured by running ``--label before`` on the
+  pre-refactor tree (``git stash``) and ``--label after`` on the same
+  machine in the same session; the ``pf-opt-n32`` combination with
+  ``--only``, alternating whole-process runs whose ``before`` side
+  imports the parent tree's ``src`` (its entry's ``protocol`` says how).
 
 ``test_throughput_regression`` guards the committed numbers in CI: it
 re-measures each config and fails if throughput drops more than 30% below
@@ -41,8 +48,10 @@ import pytest
 
 from repro.cache.arrays import FullyAssociativeArray, SetAssociativeArray
 from repro.cache.cache import PartitionedCache
-from repro.core.futility import CoarseTimestampLRURanking, LRURanking
+from repro.core.futility import (CoarseTimestampLRURanking, LRURanking,
+                                  OPTRanking)
 from repro.core.schemes.base import available_schemes, make_scheme
+from repro.trace.access import annotate_next_use
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -106,14 +115,64 @@ def drive(cache, stream):
         access(addr, part)
 
 
-def measure(factory, stream, warm, rounds=ROUNDS):
+def drive_next_use(cache, stream):
+    access = cache.access
+    for addr, part, next_use in stream:
+        access(addr, part, next_use)
+
+
+def make_next_use_streams(parts):
+    """Warm-up and measured ``(addr, part, next_use)`` streams over
+    ``parts`` partitions, each with a hot set scaled to its share of the
+    cache; next-use positions are per-partition (thread-local, as the
+    figure feeders number them) across warm-up and measurement alike."""
+    rng = random.Random(SEED)
+    randrange = rng.randrange
+    rand = rng.random
+    hot = HOT_LINES * PARTS // parts
+    total = WARM_ACCESSES + ACCESSES
+    order = [randrange(parts) for _ in range(total)]
+    per_part = [[] for _ in range(parts)]
+    for part in order:
+        per_part[part].append(
+            part * 10**9 + (randrange(hot) if rand() < HOT_FRACTION
+                            else hot + randrange(COLD_SPACE)))
+    next_uses = [iter(annotate_next_use(addrs)) for addrs in per_part]
+    addrs = [iter(a) for a in per_part]
+    stream = [(next(addrs[part]), part, next(next_uses[part]))
+              for part in order]
+    return stream[:WARM_ACCESSES], stream[WARM_ACCESSES:]
+
+
+#: Figure combinations outside the one-per-scheme table, keyed by label:
+#: ``(cache factory, partition count)``, driven with next-use streams.
+COMBOS = {
+    # Fig. 2, the paper's motivating experiment: PF under Belady OPT with
+    # as many partitions as the figure's largest N.
+    "pf-opt-n32": (lambda: PartitionedCache(
+        SetAssociativeArray(LINES, WAYS), OPTRanking(), make_scheme("pf"),
+        32), 32),
+}
+
+
+def workload(label):
+    """``(factory, warm, stream, driver)`` for a CONFIGS or COMBOS label."""
+    if label in COMBOS:
+        factory, parts = COMBOS[label]
+        warm, stream = make_next_use_streams(parts)
+        return factory, warm, stream, drive_next_use
+    return (CONFIGS[label], make_stream(WARM_ACCESSES, seed=WARM_SEED),
+            make_stream(), drive)
+
+
+def measure(factory, stream, warm, rounds=ROUNDS, driver=drive):
     """Best-of-``rounds`` lines/sec for one configuration."""
     best = None
     for _ in range(rounds):
         cache = factory()
-        drive(cache, warm)
+        driver(cache, warm)
         t0 = time.perf_counter()
-        drive(cache, stream)
+        driver(cache, stream)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     cache.check_invariants()
@@ -142,13 +201,12 @@ def test_benchmark_covers_every_scheme():
     assert sorted(CONFIGS) == available_schemes()
 
 
-@pytest.mark.parametrize("label", sorted(CONFIGS))
+@pytest.mark.parametrize("label", sorted(CONFIGS) + sorted(COMBOS))
 def test_access_throughput(benchmark, label):
-    stream = make_stream()
-    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
-    cache = CONFIGS[label]()
-    drive(cache, warm)
-    benchmark.pedantic(drive, args=(cache, stream), rounds=3,
+    factory, warm, stream, driver = workload(label)
+    cache = factory()
+    driver(cache, warm)
+    benchmark.pedantic(driver, args=(cache, stream), rounds=3,
                        iterations=1, warmup_rounds=0)
     cache.check_invariants()
     benchmark.extra_info["accesses_per_round"] = ACCESSES
@@ -160,17 +218,19 @@ def test_throughput_regression():
     """CI smoke: fail when throughput regresses >30% vs the committed
     numbers (spin-calibrated, so a slower CI host does not false-alarm)."""
     committed = json.loads(BENCH_JSON.read_text())
-    ref_spin = committed["calibration_spin_seconds"]
     local_spin = spin_calibration()
-    stream = make_stream()
-    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
     failures = []
     for label, entry in sorted(committed["configs"].items()):
         expected = entry.get("after")
-        if expected is None or label not in CONFIGS:
+        if expected is None or (label not in CONFIGS
+                                and label not in COMBOS):
             continue
-        measured = measure(CONFIGS[label], stream, warm, rounds=3)
-        # Machine-normalized: lines per spin-unit of compute.
+        factory, warm, stream, driver = workload(label)
+        measured = measure(factory, stream, warm, rounds=3, driver=driver)
+        # Machine-normalized: lines per spin-unit of compute, against the
+        # calibration of the run that recorded this entry.
+        ref_spin = entry.get("calibration_spin_seconds",
+                             committed["calibration_spin_seconds"])
         norm_measured = measured * local_spin
         norm_expected = expected * ref_spin
         if norm_measured < 0.7 * norm_expected:
@@ -183,24 +243,36 @@ def test_throughput_regression():
         + "\n  ".join(failures))
 
 
-def _emit(out_path: Path, label: str) -> None:
-    stream = make_stream()
-    warm = make_stream(WARM_ACCESSES, seed=WARM_SEED)
+def _emit(out_path: Path, label: str, only=None) -> None:
     data = (json.loads(out_path.read_text()) if out_path.exists()
             else {"benchmark": "benchmarks/test_simulator_throughput.py",
                   "metric": "single-thread cache-access lines/sec "
                             "(best of %d)" % ROUNDS,
                   "workload": WORKLOAD, "configs": {}})
-    data["calibration_spin_seconds"] = spin_calibration()
-    for name in sorted(CONFIGS):
-        lps = measure(CONFIGS[name], stream, warm)
-        data["configs"].setdefault(name, {})[label] = round(lps, 1)
+    spin = spin_calibration()
+    if only:
+        # A partial run keeps the file's calibration for everything else;
+        # an entry's own "after" calibration is what the gate reads.
+        names = only
+    else:
+        data["calibration_spin_seconds"] = spin
+        names = sorted(CONFIGS) + sorted(COMBOS)
+    for name in names:
+        factory, warm, stream, driver = workload(name)
+        lps = measure(factory, stream, warm, driver=driver)
+        entry = data["configs"].setdefault(name, {})
+        entry[label] = round(lps, 1)
+        if not only:
+            entry.pop("calibration_spin_seconds", None)
+        elif label == "after":
+            entry["calibration_spin_seconds"] = spin
         print(f"{name:16s} {label}: {lps:>10.0f} lines/s", flush=True)
     speedups = []
     for name, entry in sorted(data["configs"].items()):
         if entry.get("before") and entry.get("after"):
             entry["speedup"] = round(entry["after"] / entry["before"], 3)
-            speedups.append(entry["speedup"])
+            if name in CONFIGS:
+                speedups.append(entry["speedup"])
     if speedups:
         geomean = 1.0
         for s in speedups:
@@ -218,5 +290,8 @@ if __name__ == "__main__":
     parser.add_argument("--out", type=Path, default=BENCH_JSON)
     parser.add_argument("--label", choices=("before", "after"),
                         default="after")
+    parser.add_argument("--only", nargs="+",
+                        choices=sorted(CONFIGS) + sorted(COMBOS),
+                        help="measure just these entries")
     args = parser.parse_args()
-    sys.exit(_emit(args.out, args.label))
+    sys.exit(_emit(args.out, args.label, args.only))

@@ -29,18 +29,23 @@ is rebuilt whenever the subscription set changes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Iterable, List, Optional, Sequence
 
 from ..core.futility import (
+    OPT_NEXT_USE_REQUIRED,
     TIMESTAMP_MOD,
     CoarseTimestampLRURanking,
     FutilityRanking,
+    LFURanking,
     LRURanking,
+    OPTRanking,
+    RandomRanking,
 )
 from ..core.schemes.base import PartitioningScheme
 from ..core.schemes.full_assoc import FullAssocScheme
 from ..core.schemes.futility_scaling import FeedbackFutilityScalingScheme
+from ..core.schemes.partitioning_first import PartitioningFirstScheme
 from ..errors import ConfigurationError
 from .arrays import (INVALID, CacheArray, FullyAssociativeArray,
                      SetAssociativeArray)
@@ -321,13 +326,19 @@ class PartitionedCache:
         return self._resident == self.num_lines
 
     # -- the access path -------------------------------------------------------
+    #: Compile the unspecialized kernel (every recognizer off, every hook a
+    #: bound-method call).  Private: the differential test suite sets it on
+    #: one of two otherwise identical caches to hold the specialized kernel
+    #: to the generic one.
+    _generic_kernel = False
+
     def _rebuild_kernel(self) -> None:
         """(Re)compile the access closure; called on observer changes."""
         if not self._ready:
             return
-        self.access = self._build_access()
+        self.access = self._build_access(generic=self._generic_kernel)
 
-    def _build_access(self):
+    def _build_access(self, generic: bool = False):
         """Compile ``access(addr, part, next_use=None, *, is_write=False)``.
 
         Returns ``True`` on a hit.  ``next_use`` carries Belady future
@@ -349,6 +360,13 @@ class PartitionedCache:
         counter/hook code; any other observer dispatches through the
         per-event handler tuples as before.  The generated source is kept
         on the kernel as ``access.__kernel_source__`` for inspection.
+
+        ``generic=True`` compiles the unspecialized kernel instead: every
+        recognizer is off, so ranking and scheme hooks, candidate
+        generation, array evict/place and every observer go through their
+        bound methods and the event-handler tuples.  It is the oracle the
+        specialized kernels are held to (tests/cache/test_kernel_oracle.py),
+        never a fast path.
 
         Event ordering contract (unchanged from the dispatching kernel):
         ``miss`` fires before victim selection (observers see pre-eviction
@@ -373,11 +391,20 @@ class PartitionedCache:
         # scaled futility is a masked subtract and a left shift, so going
         # through choose_victim/on_insert/on_evict calls per miss is pure
         # dispatch overhead.
-        fb_inline = (stype is FeedbackFutilityScalingScheme
+        fb_inline = (not generic
+                     and stype is FeedbackFutilityScalingScheme
                      and type(ranking) is CoarseTimestampLRURanking
                      and TIMESTAMP_MOD == 256
                      and getattr(scheme, "_shift_scan", False)
                      and getattr(scheme, "_coarse_ranking", None) is ranking)
+
+        # Partitioning-First over any exact key-ordered ranking: the PS and
+        # VI steps compare occupancies and raw keys only, so the whole
+        # victim choice inlines (coarse timestamps keep calling choose).
+        pf_inline = (not generic
+                     and stype is PartitioningFirstScheme
+                     and type(ranking) in (LRURanking, LFURanking,
+                                           OPTRanking, RandomRanking))
 
         # Recognize the observers the compiler knows how to inline.  The
         # telemetry recorder is imported lazily: repro.obs is never pulled
@@ -390,7 +417,7 @@ class PartitionedCache:
         fast_stats = None
         ref_obs = None
         ts_obs = None
-        for obs in events.observers():
+        for obs in () if generic else events.observers():
             if obs is stats and type(obs) is CacheStats:
                 fast_stats = obs
             elif type(obs) is RankingObserver and obs.ranking is reference:
@@ -405,12 +432,13 @@ class PartitionedCache:
 
         # Arrays that neither relocate blocks nor keep private slot state
         # get their evict/place bodies inlined.
-        simple = (type(array_obj).evict is CacheArray.evict
+        simple = (not generic
+                  and type(array_obj).evict is CacheArray.evict
                   and type(array_obj).place is CacheArray.place)
         # The fully-associative array's extra state is one free list; its
         # evict/place bodies are a handful of list operations, so they
         # inline just as well.
-        fa_inline = type(array_obj) is FullyAssociativeArray
+        fa_inline = not generic and type(array_obj) is FullyAssociativeArray
 
         ns = {
             "ConfigurationError": ConfigurationError,
@@ -465,11 +493,15 @@ class PartitionedCache:
         def indent(ind, lines):
             return [ind + line for line in lines]
 
-        def lru_hook_lines(rk, prefix):
-            # Inline LRURanking's hook bodies (access-sequence keys are
-            # strictly increasing, so maintenance is a bisect-delete plus an
-            # append).  When ensure_index() has materialized the
-            # most_futile index (FullAssoc consumers), the inline bodies
+        def keyed_hook_lines(rk, prefix):
+            # Inline the hook bodies of the two keyed rankings the figures
+            # decide with: LRURanking (access-sequence keys are strictly
+            # increasing, so a new key is its partition's largest and
+            # placement is an append) and OPTRanking (``(next_use, idx)``
+            # keys, placed by insort unless largest, and the same
+            # ConfigurationError on a missing next_use, raised before any
+            # ranking state changes).  When ensure_index() has materialized
+            # the most_futile index (FullAssoc consumers), the inline bodies
             # mirror the methods' index upkeep — two dict operations —
             # instead of falling back to a bound-method call.
             ns[prefix] = rk
@@ -479,31 +511,57 @@ class PartitionedCache:
             ns.setdefault("bisect_left", bisect_left)
             key, keys, part_arr = (prefix + "_key", prefix + "_keys",
                                    prefix + "_part")
+            if type(rk) is LRURanking:
+                new = "_sq"
+                check = []
+
+                def make_key(slot):
+                    return ["_sq = %s._seq + 1" % prefix,
+                            "%s._seq = _sq" % prefix]
+
+                def place(ks):
+                    return ["%s.append(_sq)" % ks]
+
+                ins_place = place("%s[part]" % keys)
+            else:
+                ns["insort"] = insort
+                ns["opt_no_next_use"] = OPT_NEXT_USE_REQUIRED
+                new = "_nk"
+                check = ["if next_use is None:",
+                         "    raise ConfigurationError(opt_no_next_use)"]
+
+                def make_key(slot):
+                    return ["_nk = (next_use, %s)" % slot]
+
+                def place(ks):
+                    return ["if %s and _nk < %s[-1]:" % (ks, ks),
+                            "    insort(%s, _nk)" % ks,
+                            "else:",
+                            "    %s.append(_nk)" % ks]
+
+                ins_place = ["_ks = %s[part]" % keys] + place("_ks")
 
             return {
-                "hit": [
+                "hit": check + [
                     "_ks = %s[part]" % keys,
                     "_old = %s[idx]" % key,
                     "del _ks[bisect_left(_ks, _old)]",
-                    "_sq = %s._seq + 1" % prefix,
-                    "%s._seq = _sq" % prefix,
-                    "%s[idx] = _sq" % key,
-                    "_ks.append(_sq)",
+                ] + make_key("idx") + [
+                    "%s[idx] = %s" % (key, new),
+                ] + place("_ks") + [
                     "_io = %s._index_of" % prefix,
                     "if _io is not None:",
                     "    _io = _io[part]",
                     "    del _io[_old]",
-                    "    _io[_sq] = idx",
+                    "    _io[%s] = idx" % new,
                 ],
-                "insert": [
-                    "_sq = %s._seq + 1" % prefix,
-                    "%s._seq = _sq" % prefix,
-                    "%s[new_idx] = _sq" % key,
+                "insert": check + make_key("new_idx") + [
+                    "%s[new_idx] = %s" % (key, new),
                     "%s[new_idx] = part" % part_arr,
-                    "%s[part].append(_sq)" % keys,
+                ] + ins_place + [
                     "_io = %s._index_of" % prefix,
                     "if _io is not None:",
-                    "    _io[part][_sq] = new_idx",
+                    "    _io[part][%s] = new_idx" % new,
                 ],
                 "evict": [
                     "_ks = %s[vpart]" % keys,
@@ -571,9 +629,10 @@ class PartitionedCache:
             "evict": ["r_evi(victim, vpart)"],
             "move": ["r_move(src, dst)"],
         }
-        if type(ranking) is LRURanking:
-            r_seg = lru_hook_lines(ranking, "rk")
-        elif (type(ranking) is CoarseTimestampLRURanking
+        keyed = (LRURanking, OPTRanking)
+        if not generic and type(ranking) in keyed:
+            r_seg = keyed_hook_lines(ranking, "rk")
+        elif (not generic and type(ranking) is CoarseTimestampLRURanking
               and TIMESTAMP_MOD == 256):
             r_seg = coarse_hook_lines(ranking, "ct")
         ref_seg = {
@@ -582,20 +641,22 @@ class PartitionedCache:
             "evict": ["ref_evi(victim, vpart)"],
             "move": ["ref_move(src, dst)"],
         }
-        if ref_obs is not None and type(reference) is LRURanking:
-            ref_seg = lru_hook_lines(reference, "rf")
+        if ref_obs is not None and type(reference) in keyed:
+            ref_seg = keyed_hook_lines(reference, "rf")
 
         def victim_lines(cands_expr):
             # Victim selection over one candidate-list expression: a
-            # choose_victim call, or (feedback FS on coarse timestamps) the
-            # empty-slot probe plus the Algorithm-2 shift scan inlined.
-            # The inline scan mirrors kernels.first_invalid +
-            # FeedbackFutilityScalingScheme.choose_victim exactly.
-            if not fb_inline:
+            # choose_victim call, or the empty-slot probe plus an inlined
+            # scan — the Algorithm-2 shift scan (feedback FS on coarse
+            # timestamps) or the Algorithm-1 PS and VI steps (PF on an
+            # exact key-ordered ranking).  The inline scans mirror
+            # kernels.first_invalid followed by
+            # FeedbackFutilityScalingScheme.choose_victim or
+            # kernels.choose_pf exactly.
+            if not (fb_inline or pf_inline):
                 return ["    victim = choose(%s, part)" % cands_expr]
             ns["num_lines"] = self.num_lines
-            ns["fb_lvl"] = scheme._levels
-            return [
+            probe = [
                 "    _cands = %s" % cands_expr,
                 "    victim = -1",
                 "    if cache._resident != num_lines:",
@@ -604,6 +665,42 @@ class PartitionedCache:
                 "                victim = _c",
                 "                break",
                 "    if victim < 0:",
+            ]
+            if pf_inline:
+                # Algorithm 1 in one pass over the candidates (all valid
+                # here).  PS: the first strict max of actual - target in
+                # candidate order.  VI: the chosen partition's most futile
+                # candidate by raw key — largest for ascending rankings,
+                # smallest otherwise (keys are unique within a partition).
+                # One pass suffices because a partition's overshoot is
+                # constant during the scan and the best overshoot only
+                # grows: a partition can take the lead only at its first
+                # candidate, so VI restarts there and never misses one.
+                ns["rk_key"] = ranking._key
+                more_futile = ">" if ranking._ascending_futility else "<"
+                return probe + [
+                    "        _tgt = cache.targets",
+                    "        victim = _cands[0]",
+                    "        _bp = owner[victim]",
+                    "        _bo = actual[_bp] - _tgt[_bp]",
+                    "        _bk = rk_key[victim]",
+                    "        for _c in _cands:",
+                    "            _p = owner[_c]",
+                    "            if _p == _bp:",
+                    "                _k = rk_key[_c]",
+                    "                if _k %s _bk:" % more_futile,
+                    "                    _bk = _k",
+                    "                    victim = _c",
+                    "            else:",
+                    "                _ov = actual[_p] - _tgt[_p]",
+                    "                if _ov > _bo:",
+                    "                    _bo = _ov",
+                    "                    _bp = _p",
+                    "                    _bk = rk_key[_c]",
+                    "                    victim = _c",
+                ]
+            ns["fb_lvl"] = scheme._levels
+            return probe + [
                 "        _lv = fb_lvl",
                 "        victim = _cands[0]",
                 "        _p = owner[victim]",
@@ -626,7 +723,8 @@ class PartitionedCache:
         # direct-mapped) have their index hash inlined into the kernel so a
         # miss pays no candidate-generation calls at all.
         if scheme.uses_candidates:
-            inline_sa = (isinstance(array_obj, SetAssociativeArray)
+            inline_sa = (not generic
+                         and isinstance(array_obj, SetAssociativeArray)
                          and type(array_obj).candidates
                          is SetAssociativeArray.candidates)
             if inline_sa:
@@ -653,12 +751,14 @@ class PartitionedCache:
                 cand = victim_lines("get_candidates(addr)")
         else:
             ns["free_slot"] = array_obj.free_slot
-            if stype is FullAssocScheme and type(ranking) is LRURanking:
+            if (not generic and stype is FullAssocScheme
+                    and type(ranking) in keyed):
                 # FullAssocScheme.choose_victim inlined: the globally most
-                # futile line (LRU order head, ks[0] since access-sequence
-                # futility is descending) of the most oversized non-empty
+                # futile line (ks[0] for LRU, whose futility descends with
+                # the key; ks[-1] for OPT) of the most oversized non-empty
                 # partition.  bind() has forced ensure_index(), so the
                 # key -> line map is maintained by the inline hook bodies.
+                head = -1 if ranking._ascending_futility else 0
                 cand = [
                     "    victim = free_slot()",
                     "    if victim is None:",
@@ -672,7 +772,7 @@ class PartitionedCache:
                     "            if _bo is None or _ov > _bo:",
                     "                _bo = _ov",
                     "                _bp = _p",
-                    "        victim = rk._index_of[_bp][rk_keys[_bp][0]]",
+                    "        victim = rk._index_of[_bp][rk_keys[_bp][%d]]" % head,
                 ]
             else:
                 cand = [
@@ -759,21 +859,25 @@ class PartitionedCache:
         emit("    evicted = victim_addr != -1")
         emit("    if evicted:")
         emit("        vpart = owner[victim]")
-        # Exact-LRU reference futility is one bisect and one division;
+        # Exact keyed reference futility is one bisect and one division;
         # inline it against whichever key arrays hold the reference order
         # (the decision ranking itself when it is exact, the shadow
         # RankingObserver otherwise).
-        lru_ref = None
-        if reference is not None and type(reference) is LRURanking:
+        keyed_ref = None
+        if not generic and type(reference) in keyed:
             if reference is ranking:
-                lru_ref = "rk"
+                keyed_ref = "rk"
             elif ref_obs is not None:
-                lru_ref = "rf"
-        if lru_ref is not None:
-            emit("        _ks = %s_keys[vpart]" % lru_ref)
+                keyed_ref = "rf"
+        if keyed_ref is not None:
+            emit("        _ks = %s_keys[vpart]" % keyed_ref)
             emit("        _sz = len(_ks)")
-            emit("        fut = (_sz - bisect_left(_ks, %s_key[victim]))"
-                 " / _sz" % lru_ref)
+            if reference._ascending_futility:
+                emit("        fut = (bisect_left(_ks, %s_key[victim]) + 1)"
+                     " / _sz" % keyed_ref)
+            else:
+                emit("        fut = (_sz - bisect_left(_ks, %s_key[victim]))"
+                     " / _sz" % keyed_ref)
         elif reference is not None:
             emit("        fut = ref_fut(victim)")
         emit("        was_dirty = dirty[victim]")

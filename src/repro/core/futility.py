@@ -61,10 +61,16 @@ __all__ = [
     "make_ranking",
     "TIMESTAMP_BITS",
     "TIMESTAMP_MOD",
+    "OPT_NEXT_USE_REQUIRED",
 ]
 
 TIMESTAMP_BITS = 8
 TIMESTAMP_MOD = 1 << TIMESTAMP_BITS
+
+#: The error OPT raises for an access without ``next_use`` (shared with
+#: the access kernel's inlined OPT hooks).
+OPT_NEXT_USE_REQUIRED = ("OPTRanking requires next_use on every access; "
+                         "annotate the trace with next-use information first")
 
 
 class FutilityRanking:
@@ -228,10 +234,12 @@ class _KeyedRanking(FutilityRanking):
             self._index_of[part][key] = idx
 
     def on_hit(self, idx: int, part: int, *, next_use: Optional[int] = None) -> None:
+        # The new key first: a key that cannot be made (OPT without
+        # next_use) raises before the ranking changes.
+        key = self._make_key(idx, part, next_use, is_hit=True)
         ks = self._keys[part]
         old = self._key[idx]
         del ks[bisect_left(ks, old)]
-        key = self._make_key(idx, part, next_use, is_hit=True)
         self._key[idx] = key
         if ks and key < ks[-1]:
             insort(ks, key)
@@ -377,9 +385,7 @@ class OPTRanking(_KeyedRanking):
 
     def _make_key(self, idx, part, next_use, *, is_hit):
         if next_use is None:
-            raise ConfigurationError(
-                "OPTRanking requires next_use on every access; "
-                "annotate the trace with next-use information first")
+            raise ConfigurationError(OPT_NEXT_USE_REQUIRED)
         # (next_use, idx) keeps keys strict even if a caller reuses a
         # sentinel next_use for many never-referenced-again lines.
         return (next_use, idx)

@@ -15,6 +15,12 @@ as the number of partitions grows, because the VI step sees only the
 candidates of one partition: with N >= R partitions the VI list degenerates
 to a single line and the associativity CDF approaches the diagonal
 (AEF -> 0.5, Fig. 2a).
+
+On an exact key-ordered ranking (LRU, LFU, OPT, Random) the compiled
+access kernel runs this victim choice inline
+(:meth:`~repro.cache.cache.PartitionedCache._build_access`);
+:meth:`PartitioningFirstScheme.choose_victim` is what the generic kernel,
+and every other ranking, calls.
 """
 
 from __future__ import annotations

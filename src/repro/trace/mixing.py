@@ -37,7 +37,7 @@ class TraceCursor:
     annotation OPT rankings need.  ``wraps`` counts completed passes.
     """
 
-    __slots__ = ("trace", "position", "wraps", "_next_use")
+    __slots__ = ("trace", "position", "wraps", "_next_use", "_len")
 
     def __init__(self, trace: Trace, *, with_next_use: bool = False) -> None:
         if len(trace) == 0:
@@ -46,6 +46,8 @@ class TraceCursor:
         self.position = 0
         self.wraps = 0
         self._next_use = trace.next_use if with_next_use else None
+        # Traces are immutable: read the length once, not twice an access.
+        self._len = len(trace)
 
     def next(self) -> Tuple[int, Optional[int], int]:
         """Advance one access: ``(address, next_use, gap)``."""
@@ -56,16 +58,16 @@ class TraceCursor:
         next_use = None
         if self._next_use is not None:
             # Offset by completed passes so keys stay monotone across wraps.
-            next_use = self._next_use[i] + self.wraps * len(trace)
+            next_use = self._next_use[i] + self.wraps * self._len
         self.position += 1
-        if self.position >= len(trace):
+        if self.position >= self._len:
             self.position = 0
             self.wraps += 1
         return addr, next_use, gap
 
     @property
     def total_accesses(self) -> int:
-        return self.wraps * len(self.trace) + self.position
+        return self.wraps * self._len + self.position
 
 
 def interleave_round_robin(traces: Sequence[Trace], length: int, *,
